@@ -40,7 +40,7 @@ def main():
     print(f"golden-rule refill rate: {gamma / TWOPI:.4f} MHz "
           f"(exponential rate {gamma:.4f} /us)")
 
-    h = model.build_rotating_full_hamiltonian(device, drive)
+    h = model.build_rotating_hamiltonian(device, drive)
     times = np.linspace(0.0, 8.0 / gamma, 161)
     traj = solver.evolve(h, model.collapse_operators(noise),
                          model.logical_state("E01").to_density(), times)

@@ -22,15 +22,14 @@ STATES = ("L0", "L1", "Lx")
 
 def arm_lifetimes(arm, tmax, snapshots):
     cfg = config.load_preset(arm)
-    h = model.build_rotating_full_hamiltonian(cfg.device, cfg.drive)
+    h = model.build_rotating_hamiltonian(cfg.device, cfg.drive)
     collapse = model.collapse_operators(cfg.noise)
     times = np.linspace(0.0, tmax, snapshots)
     taus = {}
     for state in STATES:
         traj = solver.evolve(h, collapse,
                              model.logical_state(state).to_density(), times)
-        coh = np.array([analysis.coherence_metric(traj.state(i), state)
-                        for i in range(len(traj))])
+        coh = analysis.coherence_metric(traj, state)
         fit = analysis.fit_exponential(times, coh,
                                        skip_initial=cfg.scenario.fit_skip_us)
         taus[state] = fit.tau

@@ -2,8 +2,9 @@
 
 Covers three groups of tools:
 
-* logical-state figures of merit on two-qutrit density matrices (error-state
-  population and the most sensitive off-diagonal coherence element),
+* logical-state figures of merit (error-state population and the most
+  sensitive off-diagonal coherence element), for one density matrix or for
+  every snapshot of a trajectory at once,
 * nonlinear exponential fitting with an optional initial skip window,
 * second-order level-shift formulas for a detuned two-transmon sideband drive,
   with the residual test for transparency of the correction cycle to single
@@ -21,9 +22,10 @@ import numpy as np
 from scipy.optimize import curve_fit, root
 
 from . import model
-from .operators import DensityMatrix, basis_index, ket_projector, partial_trace
-
-QQ_DIMS = model.QQ_DIMS
+from .operators import FULL_DIMS, QQ_DIMS, basis_index, ket_projector, trace_out
+# Not called here; the benchmark's tracer wraps it under this name too.
+from .operators import partial_trace  # noqa: F401
+from .solver import Trajectory
 
 
 class FitError(RuntimeError):
@@ -105,38 +107,49 @@ class LevelSpec:
 # ---------------------------------------------------------------------------
 # state metrics
 
-_LEVEL_NAMES = "gef"
-
-
 def _two_qutrit(rho):
-    """Reduce a density matrix to the bare two-qutrit space if needed."""
+    """(nt, 9, 9) two-qutrit stack of a Trajectory, (1, 9, 9) of one state."""
+    stack = rho.states if isinstance(rho, Trajectory) else rho.data[None]
     if rho.dims == QQ_DIMS:
-        return rho
-    if rho.dims == model.FULL_DIMS:
-        return partial_trace(rho, keep=(0, 1))
+        return stack
+    if rho.dims == FULL_DIMS:
+        return trace_out(stack, FULL_DIMS, keep=(0, 1))[1]
     raise ValueError(f"unsupported state dims {rho.dims}")
 
 
-_ERROR_PAIRS = {"L0": ("ge", "eg"), "L1": ("ef", "fe"),
-                "Lx": ("ge", "eg", "ef", "fe")}
+def _per_state(rho, values):
+    """The (nt,) values of a Trajectory, or the one value of a single state."""
+    return values if isinstance(rho, Trajectory) else float(values[0])
 
 
 def error_population(rho, label):
-    """Total population in the single-photon-loss error states for a label."""
-    if label not in _ERROR_PAIRS:
+    """Total population in the single-photon-loss error states for a label.
+
+    ``rho`` is a density matrix (two-qutrit or full space), which gives a
+    float, or a Trajectory, which gives one value per snapshot.  The error
+    states of L0 are E0k and those of L1 are E1k (``model.ERROR_STATES``);
+    Lx counts all four.
+    """
+    if label not in ("L0", "L1", "Lx"):
         raise ValueError(f"unknown logical label {label!r}")
-    r9 = _two_qutrit(rho).data
-    return float(sum(r9[basis_index(QQ_DIMS, s), basis_index(QQ_DIMS, s)].real
-                     for s in _ERROR_PAIRS[label]))
+    r9 = _two_qutrit(rho)
+    idx = [basis_index(QQ_DIMS, s) for e, s in model.ERROR_STATES.items()
+           if label == "Lx" or e[1] == label[1]]
+    return _per_state(rho, sum(r9[:, i, i].real for i in idx))
 
 
-def _x_tilde():
-    """(|gg>+|fg>)(<gf|+<ff|)/2 + h.c. on the two-qutrit space."""
-    half = 0.5 * (ket_projector(QQ_DIMS, "gg", "gf").data
-                  + ket_projector(QQ_DIMS, "gg", "ff").data
-                  + ket_projector(QQ_DIMS, "fg", "gf").data
-                  + ket_projector(QQ_DIMS, "fg", "ff").data)
-    return half + half.conj().T
+_HALF_X = 0.5 * (ket_projector(QQ_DIMS, "gg", "gf").data
+                 + ket_projector(QQ_DIMS, "gg", "ff").data
+                 + ket_projector(QQ_DIMS, "fg", "gf").data
+                 + ket_projector(QQ_DIMS, "fg", "ff").data)
+#: (|gg>+|fg>)(<gf|+<ff|)/2 + h.c. on the two-qutrit space
+_X_TILDE = _HALF_X + _HALF_X.conj().T
+
+
+def _abs(z):
+    """Elementwise |z|.  hypot gives the bits of abs() on one complex number,
+    which the vectorized np.abs loop can miss in the last place."""
+    return np.hypot(z.real, z.imag)
 
 
 def coherence_metric(rho, label):
@@ -145,15 +158,18 @@ def coherence_metric(rho, label):
     Normalized so the perfect logical state scores 1: twice |<gf|rho|fg>| or
     |<gg|rho|ff>| for the two basis logical states, and |Tr(rho X)| for their
     balanced superposition, where X is the transparent logical-flip operator.
+    Takes the same inputs as :func:`error_population`.
     """
-    r9 = _two_qutrit(rho).data
+    r9 = _two_qutrit(rho)
     if label == "L0":
-        return 2.0 * abs(r9[basis_index(QQ_DIMS, "gf"), basis_index(QQ_DIMS, "fg")])
-    if label == "L1":
-        return 2.0 * abs(r9[basis_index(QQ_DIMS, "gg"), basis_index(QQ_DIMS, "ff")])
-    if label == "Lx":
-        return abs(np.trace(r9 @ _x_tilde()))
-    raise ValueError(f"unknown logical label {label!r}")
+        values = 2.0 * _abs(r9[:, basis_index(QQ_DIMS, "gf"), basis_index(QQ_DIMS, "fg")])
+    elif label == "L1":
+        values = 2.0 * _abs(r9[:, basis_index(QQ_DIMS, "gg"), basis_index(QQ_DIMS, "ff")])
+    elif label == "Lx":
+        values = _abs(np.trace(r9 @ _X_TILDE, axis1=1, axis2=2))
+    else:
+        raise ValueError(f"unknown logical label {label!r}")
+    return _per_state(rho, values)
 
 
 # ---------------------------------------------------------------------------

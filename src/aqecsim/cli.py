@@ -63,10 +63,6 @@ def _resolve_config(token):
     raise ConfigError(f"config file {token!r} not found")
 
 
-def _hamiltonian(cfg):
-    return model.build_rotating_full_hamiltonian(cfg.device, cfg.drive)
-
-
 def run_scenario(config_token, outdir=".", initial=None, baseline=None):
     """Simulate a scenario and write its series and summary files.
 
@@ -83,16 +79,14 @@ def run_scenario(config_token, outdir=".", initial=None, baseline=None):
     outdir.mkdir(parents=True, exist_ok=True)
     stem = f"{sc.name}_{initial}"
 
-    h = _hamiltonian(cfg)
+    h = model.build_rotating_hamiltonian(cfg.device, cfg.drive)
     collapse = model.collapse_operators(cfg.noise)
     rho0 = model.logical_state(initial).to_density()
     times = np.linspace(0.0, sc.tmax_us, sc.snapshots)
     traj = solver.evolve(h, collapse, rho0, times)
 
-    states9 = [partial_trace(traj.state(i), keep=(0, 1))
-               for i in range(len(traj))]
-    err = np.array([analysis.error_population(s, initial) for s in states9])
-    coh = np.array([analysis.coherence_metric(s, initial) for s in states9])
+    err = analysis.error_population(traj, initial)
+    coh = analysis.coherence_metric(traj, initial)
     nq = solver.observable_series(
         traj, [model.transmon_number(1), model.transmon_number(2)])
 
@@ -134,13 +128,14 @@ def run_scenario(config_token, outdir=".", initial=None, baseline=None):
             conf = tomography.ConfusionMatrix.identity()
         for idx in sc.tomography.snapshots:
             i = idx % len(traj)
+            rho9 = partial_trace(traj.state(i), keep=(0, 1))
             tomo = tomography.simulate_counts(
-                states9[i], tset, conf, sc.tomography.shots,
+                rho9, tset, conf, sc.tomography.shots,
                 sc.tomography.seed + i)
             tomo.save(outdir / f"{stem}_tomogram_{i}.tsv")
             result = tomography.mle_reconstruct(tomo, tset, conf)
             np.save(outdir / f"{stem}_rho_{i}.npy", result.rho.data)
-            fid = tomography.fidelity(result.rho, states9[i])
+            fid = tomography.fidelity(result.rho, rho9)
             entries.append((f"tomography_fidelity_snapshot_{i}", float(fid)))
 
     summary_path = outdir / f"{stem}_summary.txt"

@@ -19,7 +19,7 @@ import yaml
 
 from .model import DeviceParams, DriveConfig, NoiseModel
 
-ARMS = ("free_decay", "echo_4qq", "aqec", "ideal_breakeven")
+ARMS = ("free_decay", "echo_4qq", "aqec")
 INITIAL_STATES = ("L0", "L1", "Lx")
 
 
@@ -113,7 +113,6 @@ _REQUIRED_DRIVES = {
     "free_decay": (),
     "echo_4qq": ("w_r", "w_b"),
     "aqec": ("w_r", "w_b", "nu_r", "nu_b", "omega_qr1", "omega_qr2"),
-    "ideal_breakeven": ("w_r", "w_b", "nu_r", "nu_b", "omega_qr1", "omega_qr2"),
 }
 
 

@@ -4,14 +4,21 @@ All frequencies are ordinary frequencies in MHz and all times in microseconds.
 The single 2*pi conversion to angular units happens here, during Hamiltonian
 and collapse-operator assembly; nothing downstream applies it again.
 
-Three frames are provided:
+Three frames are provided, one builder each:
 
-* lab frame -- Duffing transmons plus explicitly modulated charge/flux
-  coupling products (carrier cosines),
-* logical-static frame -- all logical states at zero energy, the four
-  two-transmon (QQ) sideband terms carry explicit exp(+-2*pi*i*nu*t) phases,
-* fully-rotated frame -- time independent, detunings appear as diagonal
-  energies.
+* lab frame (:func:`build_lab_hamiltonian`) -- Duffing transmons plus
+  explicitly modulated charge/flux coupling products (carrier cosines),
+* logical-static frame (:func:`build_static_hamiltonian`) -- all logical
+  states at zero energy, the four two-transmon (QQ) sideband terms carry
+  explicit exp(+-2*pi*i*nu*t) phases,
+* fully-rotated frame (:func:`build_rotating_hamiltonian`) -- time
+  independent, detunings appear as diagonal energies.
+
+Both rotating-frame builders include the device's dispersive (chi) and
+loss-transition ZZ shifts, with each transmon-resonator (QR) tone on its
+chi-shifted |e0> -> |f1> line, so a calibration sweep sees the same shifted
+lines a scenario run simulates.  For chi = ZZ = 0 the shift terms are exact
+zeros.  The lab frame has no shift terms.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import numpy as np
 
 from .operators import (
     FULL_DIMS,
+    QQ_DIMS,
     LabeledOperator,
     StateVector,
     basis_index,
@@ -35,11 +43,10 @@ from .operators import (
 
 TWOPI = 2.0 * math.pi
 
-QQ_DIMS = (3, 3)
-
 #: error-state mapping: E_jk is the single-photon-loss error state associated
-#: with logical state j and loss index k
-ERROR_STATES = {"E01": "eg", "E02": "ge", "E11": "fe", "E12": "ef"}
+#: with logical state j and loss index k, in the order
+#: ``analysis.error_population`` sums their populations
+ERROR_STATES = {"E02": "ge", "E01": "eg", "E12": "ef", "E11": "fe"}
 
 
 @dataclass(frozen=True)
@@ -146,13 +153,6 @@ class HamiltonianSpec:
     def time_dependent(self):
         return len(self.driven) > 0
 
-    def at(self, t):
-        """Dense Hamiltonian matrix at time t (us)."""
-        h = self.constant.data.copy()
-        for coeff, op in self.driven:
-            h += coeff(t) * op.data
-        return h
-
 
 # ---------------------------------------------------------------------------
 # states
@@ -194,24 +194,6 @@ def logical_state(label):
     vac = np.zeros(4)
     vac[0] = 1.0
     return StateVector(FULL_DIMS, np.kron(amps9, vac))
-
-
-def error_projector(label):
-    """Projector onto the single-photon-loss error states for a logical label.
-
-    L0 -> |ge><ge| + |eg><eg|, L1 -> |ef><ef| + |fe><fe|, Lx -> their sum,
-    each tensored with the resonator identity.
-    """
-    if label == "L0":
-        pairs = ["ge", "eg"]
-    elif label == "L1":
-        pairs = ["ef", "fe"]
-    elif label == "Lx":
-        pairs = ["ge", "eg", "ef", "fe"]
-    else:
-        raise ValueError(f"unknown logical label {label!r}")
-    p9 = sum(ket_projector(QQ_DIMS, s).data for s in pairs)
-    return tensor(LabeledOperator(QQ_DIMS, p9), identity(2), identity(2))
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +285,14 @@ def _sin_coeff(freq_mhz):
 
 
 def build_rotating_hamiltonian(device, drive):
-    """Fully-rotated (time-independent) frame Hamiltonian."""
+    """Fully-rotated (time-independent) frame Hamiltonian.
+
+    Includes the dispersive and ZZ shifts, with both QR tones on the
+    chi-shifted |e0> -> |f1> line, so the L0-branch correcting transitions
+    are resonant.  The shift terms are diagonal and frame-invariant, so this
+    equals :func:`build_static_hamiltonian` transformed to the
+    time-independent frame.
+    """
     h = _frame_diagonal(device)
     h = h - drive.nu_r * (_p("gf").data + _p("fg").data + _p("ge").data + _p("eg").data)
     h = h - drive.nu_b * (_p("gg").data + _p("ff").data + _p("ef").data + _p("fe").data)
@@ -311,15 +300,22 @@ def build_rotating_hamiltonian(device, drive):
     qq = red.data + blue.data
     qr = _qr_raising(drive).data
     h = h + qq + qq.conj().T + qr + qr.conj().T
-    return HamiltonianSpec(LabeledOperator(FULL_DIMS, TWOPI * h))
+    return HamiltonianSpec(LabeledOperator(FULL_DIMS, TWOPI * h + _shifts(device)))
+
+
+# The benchmark in perfbench/ traces and calls the Hamiltonian under this
+# name; the package itself calls build_rotating_hamiltonian.
+build_rotating_full_hamiltonian = build_rotating_hamiltonian
 
 
 def build_static_hamiltonian(device, drive, *, red_offset=0.0, blue_offset=0.0,
                              qr_offset=0.0):
     """Logical-static frame: QQ terms carry explicit exp(2*pi*i*nu*t) phases.
 
-    The keyword offsets (MHz) shift the red pair center, blue pair center, or
-    both QR sideband frequencies; they exist for calibration-style sweeps.
+    Includes the dispersive and ZZ shifts exactly as
+    :func:`build_rotating_hamiltonian` does.  The keyword offsets (MHz) shift
+    the red pair center, blue pair center, or both QR sideband frequencies
+    away from those lines; they exist for calibration-style sweeps.
     """
     const = _frame_diagonal(device)
     driven = []
@@ -340,7 +336,8 @@ def build_static_hamiltonian(device, drive, *, red_offset=0.0, blue_offset=0.0,
     add_rotating(qr, qr_offset)
     for term in const_terms:
         const = const + term
-    return HamiltonianSpec(LabeledOperator(FULL_DIMS, TWOPI * const), tuple(driven))
+    return HamiltonianSpec(LabeledOperator(FULL_DIMS, TWOPI * const + _shifts(device)),
+                           tuple(driven))
 
 
 def dispersive_terms(device):
@@ -358,41 +355,33 @@ def dispersive_terms(device):
     return LabeledOperator(FULL_DIMS, TWOPI * extra)
 
 
-def _shifted_constant(base, device):
-    """Add the dispersive and ZZ shifts to a frame Hamiltonian's constant part,
-    with each QR tone on its chi-shifted |e0> -> |f1> line.
+def _shifts(device):
+    """Dispersive and ZZ shifts (angular units) of both rotating frames, with
+    each QR tone on its chi-shifted |e0> -> |f1> line.
 
     chi_j n_qj n_rj moves every state with transmon j in f and one photon in
     resonator j by 2*chi_j.  The tone is calibrated on the line that includes
-    this shift, so resonator j's photon frame moves by -2*chi_j.  |eg,0> <-> |fg,1> and |ge,0> <-> |gf,1> are then resonant and
-    the L1 branches sit zz_ff1 and zz_ff2 away.
+    this shift, so resonator j's photon frame moves by -2*chi_j.
+    |eg,0> <-> |fg,1> and |ge,0> <-> |gf,1> are then resonant and the L1
+    branches sit zz_ff1 and zz_ff2 away.
     """
     frame = -2.0 * (device.chi_1 * resonator_number(1).data
                     + device.chi_2 * resonator_number(2).data)
-    shifts = dispersive_terms(device).data + TWOPI * frame
-    return LabeledOperator(FULL_DIMS, base.constant.data + shifts)
+    return dispersive_terms(device).data + TWOPI * frame
 
 
-def build_full_hamiltonian(device, drive):
-    """Static-frame Hamiltonian plus dispersive and error-relevant ZZ shifts.
-
-    Both QR tones sit on the chi-shifted |e0> -> |f1> line, so the L0-branch
-    correcting transitions are resonant.
-    """
-    base = build_static_hamiltonian(device, drive)
-    return HamiltonianSpec(_shifted_constant(base, device), base.driven)
-
-
-def build_rotating_full_hamiltonian(device, drive):
-    """Fully-rotated frame including the dispersive and ZZ shift terms.
-
-    Both QR tones sit on the chi-shifted |e0> -> |f1> line, as in
-    :func:`build_full_hamiltonian`.  The shift terms are diagonal and
-    frame-invariant, so this equals :func:`build_full_hamiltonian`
-    transformed to the time-independent frame.
-    """
-    base = build_rotating_hamiltonian(device, drive)
-    return HamiltonianSpec(_shifted_constant(base, device))
+def _qq_tones(device, drive, scale):
+    """(amplitude MHz, carrier MHz, phase) of the four lab-frame QQ flux tones."""
+    s2 = math.sqrt(2.0)
+    wq1 = scale * device.omega_q1
+    wq2 = scale * device.omega_q2
+    a1, a2 = device.alpha_1, device.alpha_2
+    return [
+        (drive.w_r / s2, wq2 - wq1 - a1 - drive.nu_r, drive.phases[0]),
+        (drive.w_r / s2, wq2 - wq1 + a2 + drive.nu_r, drive.phases[1]),
+        (drive.w_b, wq1 + wq2 - drive.nu_b, drive.phases[2]),
+        (drive.w_b / 2.0, wq1 + wq2 + a1 + a2 + drive.nu_b, drive.phases[3]),
+    ]
 
 
 def build_lab_hamiltonian(device, drive, scale=1.0):
@@ -431,19 +420,13 @@ def build_lab_hamiltonian(device, drive, scale=1.0):
     o_qr1 = LabeledOperator(FULL_DIMS, TWOPI * (x1 @ xr1))
     o_qr2 = LabeledOperator(FULL_DIMS, TWOPI * (x2 @ xr2))
 
-    s2 = math.sqrt(2.0)
-    qq_tones = [
-        (drive.w_r / s2, wq2 - wq1 - a1 - drive.nu_r, drive.phases[0]),
-        (drive.w_r / s2, wq2 - wq1 + a2 + drive.nu_r, drive.phases[1]),
-        (drive.w_b, wq1 + wq2 - drive.nu_b, drive.phases[2]),
-        (drive.w_b / 2.0, wq1 + wq2 + a1 + a2 + drive.nu_b, drive.phases[3]),
-    ]
-
     def carrier(amp, freq, phase):
         w = TWOPI * freq
         return lambda t: amp * math.cos(w * t + phase)
 
-    driven = [(carrier(amp, f, ph), o_qq) for amp, f, ph in qq_tones if amp > 0]
+    s2 = math.sqrt(2.0)
+    driven = [(carrier(amp, f, ph), o_qq)
+              for amp, f, ph in _qq_tones(device, drive, scale) if amp > 0]
     if drive.omega_qr1 > 0:
         driven.append((carrier(drive.omega_qr1 / s2, wq1 + wr1 + a1, 0.0), o_qr1))
     if drive.omega_qr2 > 0:
@@ -453,17 +436,8 @@ def build_lab_hamiltonian(device, drive, scale=1.0):
 
 def qq_drive_amplitude(device, drive, t, scale=1.0):
     """Lab-frame flux-drive waveform A_QQ(t) in MHz (sum of the four tones)."""
-    s2 = math.sqrt(2.0)
-    wq1 = scale * device.omega_q1
-    wq2 = scale * device.omega_q2
-    tones = [
-        (drive.w_r / s2, wq2 - wq1 - device.alpha_1 - drive.nu_r, drive.phases[0]),
-        (drive.w_r / s2, wq2 - wq1 + device.alpha_2 + drive.nu_r, drive.phases[1]),
-        (drive.w_b, wq1 + wq2 - drive.nu_b, drive.phases[2]),
-        (drive.w_b / 2.0, wq1 + wq2 + device.alpha_1 + device.alpha_2 + drive.nu_b,
-         drive.phases[3]),
-    ]
-    return sum(amp * math.cos(TWOPI * f * t + ph) for amp, f, ph in tones)
+    return sum(amp * math.cos(TWOPI * f * t + ph)
+               for amp, f, ph in _qq_tones(device, drive, scale))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 FULL_DIMS = (3, 3, 2, 2)
+QQ_DIMS = (3, 3)  # the two transmons alone, FULL_DIMS[:2]
 QUTRIT_LEVELS = {"g": 0, "e": 1, "f": 2}
 
 
@@ -26,6 +27,19 @@ def _check_dims(dims):
     return dims
 
 
+def _freeze_array(obj, name, ndim):
+    """Check a frozen dataclass's ``dims`` against its array field ``name``
+    (``ndim`` axes of the total dimension), then store both read-only."""
+    dims = _check_dims(obj.dims)
+    arr = np.asarray(getattr(obj, name), dtype=complex)
+    n = int(np.prod(dims))
+    if arr.shape != (n,) * ndim:
+        raise ValueError(f"{name} shape {arr.shape} does not match dims {dims}")
+    arr.setflags(write=False)
+    object.__setattr__(obj, "dims", dims)
+    object.__setattr__(obj, name, arr)
+
+
 @dataclass(frozen=True)
 class LabeledOperator:
     """Complex matrix tagged with the subsystem dimensions it acts on."""
@@ -34,14 +48,7 @@ class LabeledOperator:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = _check_dims(self.dims)
-        data = np.asarray(self.data, dtype=complex)
-        n = int(np.prod(dims))
-        if data.shape != (n, n):
-            raise ValueError(f"matrix shape {data.shape} does not match dims {dims}")
-        data.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "data", data)
+        _freeze_array(self, "data", 2)
 
     @property
     def dim(self):
@@ -92,14 +99,7 @@ class DensityMatrix:
     data: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = _check_dims(self.dims)
-        data = np.asarray(self.data, dtype=complex)
-        n = int(np.prod(dims))
-        if data.shape != (n, n):
-            raise ValueError(f"matrix shape {data.shape} does not match dims {dims}")
-        data.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "data", data)
+        _freeze_array(self, "data", 2)
 
     @property
     def dim(self):
@@ -114,16 +114,9 @@ class StateVector:
     amplitudes: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        dims = _check_dims(self.dims)
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        n = int(np.prod(dims))
-        if amps.shape != (n,):
-            raise ValueError(f"amplitude shape {amps.shape} does not match dims {dims}")
-        if abs(np.linalg.norm(amps) - 1.0) > 1e-10:
+        _freeze_array(self, "amplitudes", 1)
+        if abs(np.linalg.norm(self.amplitudes) - 1.0) > 1e-10:
             raise ValueError("state vector is not normalized")
-        amps.setflags(write=False)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "amplitudes", amps)
 
     def to_density(self):
         return DensityMatrix(self.dims, np.outer(self.amplitudes, self.amplitudes.conj()))
@@ -143,20 +136,6 @@ def destroy(dim):
 
 def number(dim):
     return LabeledOperator((dim,), np.diag(np.arange(dim, dtype=float)))
-
-
-def transition(dim, to_level, from_level):
-    """|to><from| on a single ``dim``-level subsystem."""
-    m = np.zeros((dim, dim), dtype=complex)
-    m[to_level, from_level] = 1.0
-    return LabeledOperator((dim,), m)
-
-
-def projector_index(dims, index):
-    n = int(np.prod(dims))
-    m = np.zeros((n, n), dtype=complex)
-    m[index, index] = 1.0
-    return LabeledOperator(tuple(dims), m)
 
 
 def _label_to_levels(label):
@@ -227,25 +206,35 @@ def expectation(rho, op):
     return complex(np.trace(rho.data @ op.data))
 
 
-def partial_trace(rho, keep):
-    """Trace out all subsystems not in ``keep`` (set of subsystem indices)."""
-    dims = rho.dims
+def trace_out(stack, dims, keep):
+    """Partial trace of a ``(..., n, n)`` stack of matrices on ``dims``.
+
+    Traces out every subsystem not in ``keep`` (set of subsystem indices) and
+    returns the kept dims and the ``(..., m, m)`` reduced stack.  Leading
+    axes are batch axes, so a trajectory reduces in one call and each matrix
+    gets the same arithmetic as on its own.
+    """
+    dims = tuple(dims)
     keep = sorted(set(keep))
     if not keep or any(k < 0 or k >= len(dims) for k in keep):
         raise ValueError(f"invalid keep set {keep} for dims {dims}")
-    n_sub = len(dims)
-    tensor_form = rho.data.reshape(dims + dims)
+    batch = stack.shape[:-2]
+    traced = stack.reshape(batch + dims + dims)
     # contract traced-out subsystems pairwise, highest index first so earlier
     # axis positions stay valid
-    traced = tensor_form
-    removed = 0
-    for idx in sorted(set(range(n_sub)) - set(keep), reverse=True):
-        n_now = n_sub - removed
-        traced = np.trace(traced, axis1=idx, axis2=idx + n_now)
-        removed += 1
+    n_now = len(dims)
+    for idx in sorted(set(range(len(dims))) - set(keep), reverse=True):
+        traced = np.trace(traced, axis1=len(batch) + idx,
+                          axis2=len(batch) + idx + n_now)
+        n_now -= 1
     kept_dims = tuple(dims[k] for k in keep)
     n = int(np.prod(kept_dims))
-    return DensityMatrix(kept_dims, traced.reshape(n, n))
+    return kept_dims, traced.reshape(batch + (n, n))
+
+
+def partial_trace(rho, keep):
+    """Trace out all subsystems not in ``keep`` (set of subsystem indices)."""
+    return DensityMatrix(*trace_out(rho.data, rho.dims, keep))
 
 
 @dataclass(frozen=True)

@@ -43,29 +43,6 @@ class Trajectory:
     def state(self, i):
         return DensityMatrix(self.dims, self.states[i])
 
-    def final_state(self):
-        return self.state(len(self.times) - 1)
-
-    def export_table(self, path, ops, labels=None):
-        """Write a columnar text file: time plus one observable per column."""
-        series = observable_series(self, ops)
-        if labels is None:
-            labels = [f"obs{i}" for i in range(len(ops))]
-        header = "time_us\t" + "\t".join(labels)
-        table = np.column_stack([self.times, series])
-        np.savetxt(path, table, header=header, delimiter="\t", comments="")
-
-    def save_states(self, path):
-        """Binary snapshot dump (npz) consumable by the tomography tools."""
-        np.savez_compressed(path, times=self.times, states=self.states,
-                            dims=np.array(self.dims))
-
-    @staticmethod
-    def load_states(path):
-        with np.load(path) as data:
-            return Trajectory(times=data["times"], states=data["states"],
-                              dims=tuple(int(d) for d in data["dims"]))
-
 
 def _lindblad_rhs_factory(h, collapse, dim):
     hc = h.constant.data

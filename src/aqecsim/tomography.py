@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import minimize
 
-from .operators import DensityMatrix, validate_state
+from .operators import QQ_DIMS, DensityMatrix, validate_state
 
-QQ_DIMS = (3, 3)
 N_OUT = 9
 N_ROT = 81
 

@@ -2,11 +2,11 @@
 
 The first four criteria share the nine preset trajectories (three experiment
 arms x three initial logical states) computed once per module.  Status lines
-are written straight to the terminal so they appear regardless of capture.
+are written with output capture suspended, so a plain ``pytest -q`` run shows
+every one of them.
 """
 
 import math
-import sys
 
 import numpy as np
 import pytest
@@ -22,9 +22,14 @@ ARMS = ("free_decay", "echo_4qq", "aqec")
 STATES = ("L0", "L1", "Lx")
 
 
-def _report(num, passed, detail):
-    line = f"criterion {num:02d}: {'PASS' if passed else 'FAIL'} — {detail}"
-    print(line, file=sys.__stdout__, flush=True)
+@pytest.fixture
+def report(capsys):
+    """Print one criterion's status line past pytest's output capture."""
+    def _report(num, passed, detail):
+        line = f"criterion {num:02d}: {'PASS' if passed else 'FAIL'} — {detail}"
+        with capsys.disabled():
+            print("\n" + line, flush=True)
+    return _report
 
 
 @pytest.fixture(scope="module")
@@ -33,20 +38,18 @@ def arm_runs():
     runs = {}
     for arm in ARMS:
         cfg = config.load_preset(arm)
-        h = model.build_rotating_full_hamiltonian(cfg.device, cfg.drive)
+        h = model.build_rotating_hamiltonian(cfg.device, cfg.drive)
         collapse = model.collapse_operators(cfg.noise)
         times = np.linspace(0.0, cfg.scenario.tmax_us, cfg.scenario.snapshots)
         for initial in STATES:
             traj = solver.evolve(h, collapse,
                                  model.logical_state(initial).to_density(),
                                  times)
-            err = np.array([analysis.error_population(traj.state(i), initial)
-                            for i in range(len(traj))])
-            coh = np.array([analysis.coherence_metric(traj.state(i), initial)
-                            for i in range(len(traj))])
-            runs[(arm, initial)] = {"times": times, "traj": traj,
-                                    "err": err, "coh": coh,
-                                    "skip": cfg.scenario.fit_skip_us}
+            runs[(arm, initial)] = {
+                "times": times, "traj": traj,
+                "err": analysis.error_population(traj, initial),
+                "coh": analysis.coherence_metric(traj, initial),
+                "skip": cfg.scenario.fit_skip_us}
     return runs
 
 
@@ -66,7 +69,7 @@ def _shape(fit):
     return f"[A={fit.a:.2f}, C={fit.c:.3f}]"
 
 
-def test_criterion_01_physicality(arm_runs):
+def test_criterion_01_physicality(arm_runs, report):
     worst_drift = worst_herm = 0.0
     worst_eig = 0.0
     for run in arm_runs.values():
@@ -77,12 +80,12 @@ def test_criterion_01_physicality(arm_runs):
             m = traj.states[i]
             worst_herm = max(worst_herm, float(np.max(np.abs(m - m.conj().T))))
     passed = worst_drift <= 1e-6 and worst_herm <= 1e-8 and worst_eig >= -1e-6
-    _report(1, passed, f"trace drift {worst_drift:.1e}, hermiticity "
-                       f"{worst_herm:.1e}, min eigenvalue {worst_eig:.1e}")
+    report(1, passed, f"trace drift {worst_drift:.1e}, hermiticity "
+                      f"{worst_herm:.1e}, min eigenvalue {worst_eig:.1e}")
     assert passed
 
 
-def test_criterion_02_arm_ordering(arm_runs):
+def test_criterion_02_arm_ordering(arm_runs, report):
     details = []
     ok = True
     for s in STATES:
@@ -94,12 +97,12 @@ def test_criterion_02_arm_ordering(arm_runs):
         good = bool(np.all(aqec < free) and np.all(free < echo))
         ok = ok and good
         details.append(f"{s}:{'ok' if good else 'violated'}")
-    _report(2, ok, "error-population ordering corrected < free < echo, "
-                   + ", ".join(details))
+    report(2, ok, "error-population ordering corrected < free < echo, "
+                  + ", ".join(details))
     assert ok
 
 
-def test_criterion_03_lifetimes(fits):
+def test_criterion_03_lifetimes(fits, report):
     bands = {
         ("free_decay", "L0"): (11.8, 0.30),
         ("free_decay", "L1"): (3.3, 0.30),
@@ -116,11 +119,11 @@ def test_criterion_03_lifetimes(fits):
         extra = f" {_shape(fits[key])}" if key[0] == "aqec" else ""
         details.append(f"{key[0]}/{key[1]}={tau:.1f}us{extra} "
                        f"({'in' if good else 'out of'} {center}±{tol:.0%})")
-    _report(3, ok, "; ".join(details))
+    report(3, ok, "; ".join(details))
     assert ok
 
 
-def test_criterion_04_improvement_factors(fits):
+def test_criterion_04_improvement_factors(fits, report):
     floors = {"L0": 1.5, "L1": 3.5, "Lx": 1.1}
     ok = True
     details = []
@@ -131,29 +134,28 @@ def test_criterion_04_improvement_factors(fits):
         ok = ok and good
         details.append(f"{s}: {ratio:.2f} (need >= {floor}; aqec "
                        f"{aqec.tau:.1f}us {_shape(aqec)})")
-    _report(4, ok, "corrected/free lifetime ratios " + "; ".join(details))
+    report(4, ok, "corrected/free lifetime ratios " + "; ".join(details))
     assert ok
 
 
-def test_criterion_05_break_even(device):
+def test_criterion_05_break_even(device, report):
     drive = model.DriveConfig(w_r=5.0, w_b=5.0, nu_r=2.5, nu_b=-2.5,
                               omega_qr1=1.0, omega_qr2=1.0)
     noise = model.NoiseModel(t1_ge=(10.0, 10.0), t1_ef=(10.0, 10.0),
                              kappa=(0.5, 0.5))
-    h = model.build_rotating_full_hamiltonian(device, drive)
+    h = model.build_rotating_hamiltonian(device, drive)
     times = np.linspace(0.0, 27.0, 109)
     traj = solver.evolve(h, model.collapse_operators(noise),
                          model.logical_state("L0").to_density(), times)
-    coh = np.array([analysis.coherence_metric(traj.state(i), "L0")
-                    for i in range(len(traj))])
+    coh = analysis.coherence_metric(traj, "L0")
     fit = analysis.fit_exponential(times, coh, skip_initial=1.5)
     passed = fit.tau > 10.0
-    _report(5, passed, f"corrected logical tau {fit.tau:.1f} us vs 10 us "
-                       f"physical T1")
+    report(5, passed, f"corrected logical tau {fit.tau:.1f} us vs 10 us "
+                      f"physical T1")
     assert passed
 
 
-def test_criterion_06_golden_rule_grid(device):
+def test_criterion_06_golden_rule_grid(device, report):
     # logical-manifold projector: the resonator photon from the second
     # correction step is still draining while the logical state refills
     target9 = model.logical_qutrit_state("L0").to_density()
@@ -166,7 +168,7 @@ def test_criterion_06_golden_rule_grid(device):
             drive = model.DriveConfig(w_r=1.5, w_b=1.5, nu_r=0.85, nu_b=-0.85,
                                       omega_qr1=omega, omega_qr2=omega)
             noise = model.NoiseModel(kappa=(kappa, kappa))
-            h = model.build_rotating_full_hamiltonian(device, drive)
+            h = model.build_rotating_hamiltonian(device, drive)
             gamma = TWOPI * solver.refill_rate(omega, kappa)
             times = np.linspace(0.0, 8.0 / gamma, 161)
             traj = solver.evolve(h, model.collapse_operators(noise),
@@ -178,20 +180,20 @@ def test_criterion_06_golden_rule_grid(device):
             worst = max(worst, rel)
             details.append(f"({omega},{kappa}):{rel:.1%}")
     passed = worst <= 0.20
-    _report(6, passed, "refill-rate deviation " + " ".join(details))
+    report(6, passed, "refill-rate deviation " + " ".join(details))
     assert passed
 
 
-def test_criterion_07_qr_steady_state(device):
+def test_criterion_07_qr_steady_state(device, report):
     drive = model.DriveConfig(omega_qr1=0.49)
     noise = model.NoiseModel(kappa=(0.53, 0.0))
-    h = model.build_rotating_full_hamiltonian(device, drive)
+    h = model.build_rotating_hamiltonian(device, drive)
     traj = solver.evolve(h, model.collapse_operators(noise),
                          model.logical_state("E01").to_density(),
                          np.linspace(0.0, 3.0, 31))
     n_q1 = solver.observable_series(traj, [model.transmon_number(1)])[-1, 0]
     passed = n_q1 >= 1.8
-    _report(7, passed, f"<n_q1> = {n_q1:.3f} at 3 us (need >= 1.8)")
+    report(7, passed, f"<n_q1> = {n_q1:.3f} at 3 us (need >= 1.8)")
     assert passed
 
 
@@ -206,7 +208,7 @@ def _exact_tomogram(rho, rotations, shots=10**12):
     return tomography.Tomogram(counts, shots, seed=0)
 
 
-def test_criterion_08_tomography_round_trip():
+def test_criterion_08_tomography_round_trip(report):
     rset = tomography.rotation_set()
     conf = tomography.ConfusionMatrix.identity()
     fids = []
@@ -221,12 +223,12 @@ def test_criterion_08_tomography_round_trip():
     exact = tomography.mle_reconstruct(_exact_tomogram(rho, rset), rset, conf)
     noiseless = tomography.fidelity(exact.rho, rho)
     passed = median >= 0.98 and noiseless >= 0.999
-    _report(8, passed, f"median fidelity {median:.4f} over 60 sampled "
-                       f"reconstructions; noiseless {noiseless:.6f}")
+    report(8, passed, f"median fidelity {median:.4f} over 60 sampled "
+                      f"reconstructions; noiseless {noiseless:.6f}")
     assert passed
 
 
-def test_criterion_09_dispersive_shift_oracle():
+def test_criterion_09_dispersive_shift_oracle(report):
     omega_1, omega_2 = 15.1, 3.1
     levels = analysis.LevelSpec.harmonic(omega_1, omega_2)
     g, nu = 0.4, 4.0
@@ -258,23 +260,23 @@ def test_criterion_09_dispersive_shift_oracle():
                     worst[kind] = max(worst[kind],
                                       abs(shift - formula) / abs(formula))
     passed = all(v <= 0.10 for v in worst.values())
-    _report(9, passed, f"stroboscopic vs formula shifts: worst red "
-                       f"{worst['red']:.1%}, blue {worst['blue']:.1%}")
+    report(9, passed, f"stroboscopic vs formula shifts: worst red "
+                      f"{worst['red']:.1%}, blue {worst['blue']:.1%}")
     assert passed
 
 
-def test_criterion_10_error_transparency_exact():
+def test_criterion_10_error_transparency_exact(report):
     levels = analysis.LevelSpec.from_transition_data(
         3204.9, 3662.5, -116.4, -159.6,
         zz_ge=-0.261, zz_ef2=-0.301, zz_ff1=-0.171, zz_ff2=-0.289)
     r1, r2 = analysis.error_transparency_residual(levels)
     passed = abs(r1 - (-0.171)) < 1e-9 and abs(r2 - (-0.289)) < 1e-9
-    _report(10, passed, f"residuals ({r1 * 1000:.0f}, {r2 * 1000:.0f}) kHz "
-                        f"(expected (-171, -289))")
+    report(10, passed, f"residuals ({r1 * 1000:.0f}, {r2 * 1000:.0f}) kHz "
+                       f"(expected (-171, -289))")
     assert passed
 
 
-def test_criterion_11_chevron_oracle(device):
+def test_criterion_11_chevron_oracle(device, report):
     rate = 1.0
     drive = model.DriveConfig(omega_qr1=rate)
     times = np.linspace(0.0, 6.0, 241)
@@ -287,6 +289,6 @@ def test_criterion_11_chevron_oracle(device):
         expected = math.sqrt(rate**2 + delta**2)
         results[delta] = abs(fringe - expected) / expected
     passed = all(v <= 0.05 for v in results.values())
-    _report(11, passed, f"fringe deviation on-resonance {results[0.0]:.2%}, "
-                        f"detuned {results[1.5]:.2%}")
+    report(11, passed, f"fringe deviation on-resonance {results[0.0]:.2%}, "
+                       f"detuned {results[1.5]:.2%}")
     assert passed

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from aqecsim import analysis, model, solver
-from aqecsim.operators import FULL_DIMS, basis_state, ket_projector
+from aqecsim.operators import (
+    FULL_DIMS,
+    basis_index,
+    basis_state,
+    ket_projector,
+    partial_trace,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -66,6 +72,42 @@ def test_coherence_metric_is_one_on_pure_logical_states():
                  + basis_state((3, 3), "ff").to_density().data)
     from aqecsim.operators import DensityMatrix
     assert analysis.coherence_metric(DensityMatrix((3, 3), mix), "L1") == 0.0
+
+
+def _reference_metrics(r9, label):
+    """The per-snapshot metrics as first written, on one 9x9 matrix: the
+    reference the whole-trajectory metrics must reproduce bit for bit."""
+    pairs = {"L0": ("ge", "eg"), "L1": ("ef", "fe"),
+             "Lx": ("ge", "eg", "ef", "fe")}[label]
+    err = float(sum(r9[basis_index((3, 3), s), basis_index((3, 3), s)].real
+                    for s in pairs))
+    if label == "Lx":
+        half = 0.5 * (ket_projector((3, 3), "gg", "gf").data
+                      + ket_projector((3, 3), "gg", "ff").data
+                      + ket_projector((3, 3), "fg", "gf").data
+                      + ket_projector((3, 3), "fg", "ff").data)
+        return err, abs(np.trace(r9 @ (half + half.conj().T)))
+    a, b = ("gf", "fg") if label == "L0" else ("gg", "ff")
+    return err, 2.0 * abs(r9[basis_index((3, 3), a), basis_index((3, 3), b)])
+
+
+def test_trajectory_metrics_equal_per_snapshot_loop(device_with_shifts, full_drive):
+    h = model.build_rotating_hamiltonian(device_with_shifts, full_drive)
+    noise = model.NoiseModel(t1_ge=(21.0, 9.0), t_phi=(23.0, 23.0),
+                             kappa=(0.53, 0.48), n_res=0.03)
+    traj = solver.evolve(h, model.collapse_operators(noise),
+                         model.logical_state("Lx").to_density(),
+                         np.linspace(0.0, 1.0, 9))
+    r9s = [partial_trace(traj.state(i), keep=(0, 1)).data
+           for i in range(len(traj))]
+    for label in ("L0", "L1", "Lx"):
+        ref = np.array([_reference_metrics(r9, label) for r9 in r9s])
+        err = analysis.error_population(traj, label)
+        coh = analysis.coherence_metric(traj, label)
+        assert err.shape == coh.shape == (len(traj),)
+        assert np.array_equal(err, ref[:, 0])
+        assert np.array_equal(coh, ref[:, 1])
+        assert analysis.coherence_metric(traj.state(7), label) == coh[7]
 
 
 # ---------------------------------------------------------------------------

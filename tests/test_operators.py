@@ -18,7 +18,6 @@ from aqecsim.operators import (
     number,
     partial_trace,
     tensor,
-    transition,
     validate_state,
 )
 
@@ -47,8 +46,6 @@ def test_elementary_operators():
     assert a[1, 2] == pytest.approx(np.sqrt(2.0))
     assert np.count_nonzero(a) == 2
     assert np.allclose(number(3).data, np.diag([0.0, 1.0, 2.0]))
-    t = transition(3, 2, 1).data
-    assert t[2, 1] == 1.0 and np.count_nonzero(t) == 1
 
 
 def test_tensor_matches_kron_and_tracks_dims():

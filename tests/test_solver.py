@@ -67,18 +67,6 @@ def test_single_time_returns_initial_state(device):
     assert np.allclose(traj.states[0], rho0.data)
 
 
-def test_trajectory_save_load_roundtrip(device, tmp_path):
-    h = _free_hamiltonian(device)
-    rho0 = model.logical_state("L1").to_density()
-    traj = solver.evolve(h, [], rho0, np.linspace(0.0, 1.0, 5))
-    path = tmp_path / "traj.npz"
-    traj.save_states(path)
-    back = solver.Trajectory.load_states(path)
-    assert back.dims == traj.dims
-    assert np.allclose(back.states, traj.states)
-    assert np.allclose(back.times, traj.times)
-
-
 def test_observable_series_warns_on_non_hermitian(device):
     h = _free_hamiltonian(device)
     rho0 = model.logical_state("L0").to_density()
@@ -105,7 +93,7 @@ def test_refill_rate_matches_simulation(device):
     drive = model.DriveConfig(w_r=1.5, w_b=1.5, nu_r=0.85, nu_b=-0.85,
                               omega_qr1=omega, omega_qr2=omega)
     noise = model.NoiseModel(kappa=(kappa, kappa))
-    h = model.build_rotating_full_hamiltonian(device, drive)
+    h = model.build_rotating_hamiltonian(device, drive)
     gamma = TWOPI * solver.refill_rate(omega, kappa)
     times = np.linspace(0.0, 8.0 / gamma, 161)
     traj = solver.evolve(h, model.collapse_operators(noise),
@@ -142,6 +130,20 @@ def test_sweep_chevron_center_and_validation(device):
         solver.sweep_chevron(device, drive, "purple_pair", offsets, times, rho0)
     with pytest.raises(ValueError):
         solver.sweep_chevron(device, drive, "qr_frequency", [], times, rho0)
+
+
+def test_sweep_sees_dispersive_and_zz_shifts(device_with_shifts):
+    """Sweeps run the shifted model that scenarios simulate.  From |fe00> the
+    QR2 tone drives the L1 branch, which sits zz_ff2 off the tone's line, so
+    the fringe on zero offset is sqrt(Omega^2 + zz_ff2^2), not Omega."""
+    drive = model.DriveConfig(omega_qr2=1.0)
+    times = np.linspace(0.0, 6.0, 241)
+    rho0 = basis_state(FULL_DIMS, "fe00").to_density()
+    cmap = solver.sweep_chevron(device_with_shifts, drive, "qr_frequency",
+                                [0.0], times, rho0)
+    fringe = solver.fringe_frequency(times, cmap.n_q2[0])
+    assert fringe == pytest.approx(math.hypot(1.0, device_with_shifts.zz_ff2),
+                                   rel=0.05)
 
 
 def test_chevron_map_save(device, tmp_path):
