@@ -1,9 +1,17 @@
-"""Lindblad master-equation integration and rate estimates.
+"""Lindblad master-equation propagation and rate estimates.
 
-The density matrix is propagated with an adaptive embedded Runge-Kutta 4(5)
-scheme (scipy ``solve_ivp``); time-dependent Hamiltonian coefficients are
-evaluated at every internal stage.  At the working dimension (36) plain dense
-matrix products are fastest, so no superoperator is ever materialized.
+A time-independent H (the fully rotated frame) is propagated exactly.  The
+row-major Liouvillian, vec(A rho B) = (A kron B^T) vec(rho), is built once as
+a sparse matrix and cut down to the weakly connected components of its
+sparsity graph that rho0 touches; every other entry of vec(rho) stays exactly
+zero.  Blocks of at most ``DENSE_BLOCK_MAX`` states are exponentiated densely,
+one ``expm`` per distinct snapshot step, and the snapshots are advanced with
+matrix-vector products.  Larger blocks go through ``expm_multiply``
+(Al-Mohy & Higham), which never forms a dense propagator.
+
+Only H with driven terms (lab and static frames, chevron sweeps) is
+integrated with adaptive embedded Runge-Kutta 4(5) (scipy ``solve_ivp``),
+evaluating the drive coefficients at every internal stage.
 """
 
 from __future__ import annotations
@@ -14,7 +22,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
+from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import expm_multiply
 
 from .operators import DensityMatrix, LabeledOperator, validate_state
 
@@ -22,6 +34,12 @@ DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
 DEFAULT_MAX_STEP = 0.01  # us; resolves the fastest (~2 MHz) drive coefficients
 TRACE_DRIFT_LIMIT = 1e-6
+# Largest block exponentiated densely.  Above it the dense expm temporaries
+# cost more memory than expm_multiply, and below it expm_multiply is slower.
+DENSE_BLOCK_MAX = 128
+# Snapshot steps equal to this relative tolerance share one propagator, so an
+# np.linspace grid counts as uniform.
+STEP_RTOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -42,6 +60,78 @@ class Trajectory:
 
     def state(self, i):
         return DensityMatrix(self.dims, self.states[i])
+
+
+def liouvillian(h, collapse):
+    """Sparse row-major generator L of a time-independent Lindblad equation.
+
+    L @ rho.ravel() == (-i[H, rho] + sum_k D[L_k] rho).ravel().
+    """
+    if h.time_dependent:
+        raise ValueError("H has driven terms, so its Liouvillian depends on time")
+    eye = sp.identity(h.constant.data.shape[0], format="csr")
+    hs = sp.csr_matrix(h.constant.data)
+    gen = -1j * (sp.kron(hs, eye) - sp.kron(eye, hs.T))
+    for c in collapse:
+        cs = sp.csr_matrix(c.data)
+        cdc = cs.conj().T @ cs
+        gen = gen + sp.kron(cs, cs.conj()) \
+            - 0.5 * (sp.kron(cdc, eye) + sp.kron(eye, cdc.T))
+    gen = gen.tocsr()
+    gen.eliminate_zeros()
+    return gen
+
+
+def _touched_block(gen, v0):
+    """Indices of the weakly connected components of gen's sparsity graph
+    that hold a nonzero entry of v0."""
+    _, label = connected_components(abs(gen), directed=True, connection="weak")
+    return np.flatnonzero(np.isin(label, label[v0 != 0]))
+
+
+def _step_groups(steps):
+    """The distinct steps (to ``STEP_RTOL``) and the group of every step."""
+    distinct, group = [], []
+    for dt in steps:
+        for i, ref in enumerate(distinct):
+            if abs(dt - ref) <= STEP_RTOL * ref:
+                group.append(i)
+                break
+        else:
+            group.append(len(distinct))
+            distinct.append(dt)
+    return distinct, group
+
+
+def _propagate_exact(h, collapse, rho0, times):
+    """Exact snapshots of a time-independent H on the block rho0 touches."""
+    dim = rho0.dim
+    gen = liouvillian(h, collapse)
+    v0 = rho0.data.astype(complex).ravel()
+    keep = _touched_block(gen, v0)
+    block = gen[keep][:, keep]
+    steps = np.diff(times)
+    distinct, group = _step_groups(steps)
+    vecs = np.empty((len(times), len(keep)), dtype=complex)
+    vecs[0] = v0[keep]
+    if len(keep) <= DENSE_BLOCK_MAX:
+        method = "expm"
+        dense = block.toarray()
+        props = [expm(dense * dt) for dt in distinct]
+        for k, g in enumerate(group):
+            vecs[k + 1] = props[g] @ vecs[k]
+    else:
+        method = "expm_multiply"
+        if len(distinct) == 1:
+            vecs[:] = expm_multiply(block, vecs[0], start=0.0, stop=times[-1] - times[0],
+                                    num=len(times), endpoint=True)
+        else:
+            for k, dt in enumerate(steps):
+                vecs[k + 1] = expm_multiply(block * dt, vecs[k])
+    states = np.zeros((len(times), dim * dim), dtype=complex)
+    states[:, keep] = vecs
+    meta = {"method": method, "block_dim": len(keep), "nfev": 0}
+    return states.reshape(len(times), dim, dim), meta
 
 
 def _lindblad_rhs_factory(h, collapse, dim):
@@ -71,13 +161,35 @@ def _lindblad_rhs_factory(h, collapse, dim):
     return rhs
 
 
+def _integrate_rk45(h, collapse, rho0, times, rtol, atol, max_step):
+    """Adaptive RK45 snapshots, not renormalized, of any H(t)."""
+    dim = rho0.dim
+    meta = {"method": "rk45", "block_dim": dim * dim, "nfev": 0}
+    if len(times) == 1:
+        return rho0.data[None, :, :].astype(complex), meta
+    rhs = _lindblad_rhs_factory(h, collapse, dim)
+    sol = solve_ivp(rhs, (times[0], times[-1]), rho0.data.ravel().astype(complex),
+                    t_eval=times, method="RK45", rtol=rtol, atol=atol,
+                    max_step=max_step)
+    if not sol.success:
+        raise SolverError(f"integration failed near t={sol.t[-1] if len(sol.t) else times[0]:.4f} us: "
+                          f"{sol.message}")
+    meta["nfev"] = int(sol.nfev)
+    return sol.y.T.reshape(len(times), dim, dim), meta
+
+
 def evolve(h, collapse, rho0, times, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
            max_step=DEFAULT_MAX_STEP, validate=True):
-    """Integrate drho/dt = -i[H(t), rho] + sum_k D[L_k] rho.
+    """Propagate drho/dt = -i[H(t), rho] + sum_k D[L_k] rho.
 
     ``times`` is the strictly increasing snapshot grid (us); the first entry is
-    the initial time.  Snapshots are renormalized in trace when the drift is
-    below 1e-6, otherwise the run errors out.
+    the initial time.  A time-independent H is propagated exactly; only H with
+    driven terms is integrated with RK45, under ``rtol``, ``atol`` and
+    ``max_step``.  Snapshots are renormalized in trace when the drift is below
+    1e-6, otherwise the run errors out.  ``meta`` records the ``method``
+    (``"expm"``, ``"expm_multiply"`` or ``"rk45"``), the propagated
+    ``block_dim`` of vec(rho), the RHS evaluations ``nfev`` (0 when exact),
+    ``max_trace_drift`` and, when ``validate``, ``min_eigenvalue``.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1 or np.any(np.diff(times) <= 0):
@@ -88,21 +200,11 @@ def evolve(h, collapse, rho0, times, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         if c.dims != h.dims:
             raise ValueError("collapse operator dims do not match H dims")
 
-    dim = rho0.dim
-    if len(times) == 1:
-        return Trajectory(times, rho0.data[None, :, :].copy(), rho0.dims,
-                          meta={"nfev": 0, "max_trace_drift": 0.0})
+    if h.time_dependent:
+        states, meta = _integrate_rk45(h, collapse, rho0, times, rtol, atol, max_step)
+    else:
+        states, meta = _propagate_exact(h, collapse, rho0, times)
 
-    rhs = _lindblad_rhs_factory(h, collapse, dim)
-    step = max_step if h.time_dependent else np.inf
-    sol = solve_ivp(rhs, (times[0], times[-1]), rho0.data.ravel().astype(complex),
-                    t_eval=times, method="RK45", rtol=rtol, atol=atol,
-                    max_step=step)
-    if not sol.success:
-        raise SolverError(f"integration failed near t={sol.t[-1] if len(sol.t) else times[0]:.4f} us: "
-                          f"{sol.message}")
-
-    states = sol.y.T.reshape(len(times), dim, dim)
     drifts = np.abs(np.einsum("tii->t", states).real - 1.0)
     max_drift = float(np.max(drifts))
     if max_drift >= TRACE_DRIFT_LIMIT:
@@ -111,7 +213,7 @@ def evolve(h, collapse, rho0, times, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     states = states / traces.real[:, None, None]
 
     traj = Trajectory(times, states, rho0.dims,
-                      meta={"nfev": int(sol.nfev), "max_trace_drift": max_drift})
+                      meta={**meta, "max_trace_drift": max_drift})
     if validate:
         worst = min(validate_state(traj.state(i), tol=1e-6).min_eigenvalue
                     for i in range(len(times)))

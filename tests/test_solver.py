@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import curve_fit
+from scipy.sparse.linalg import expm_multiply
 
-from aqecsim import model, solver
+from aqecsim import config, model, solver
 from aqecsim.operators import (
     FULL_DIMS,
     LabeledOperator,
@@ -17,6 +18,11 @@ from aqecsim.operators import (
 )
 
 TWOPI = 2.0 * math.pi
+LOGICAL = ("L0", "L1", "Lx")
+# size of the block of vec(rho) that each preset's logical states touch
+PRESET_BLOCKS = {"free_decay": {"L0": 44, "L1": 44, "Lx": 100},
+                 "echo_4qq": {"L0": 33, "L1": 33, "Lx": 33},
+                 "aqec": {"L0": 366, "L1": 366, "Lx": 366}}
 
 
 def _free_hamiltonian(device):
@@ -73,6 +79,81 @@ def test_observable_series_warns_on_non_hermitian(device):
     traj = solver.evolve(h, [], rho0, np.linspace(0.0, 0.5, 3))
     with pytest.warns(RuntimeWarning):
         solver.observable_series(traj, [1j * ket_projector(FULL_DIMS, "gf00", "fg00")])
+
+
+def _preset(arm):
+    cfg = config.load_preset(arm)
+    h = model.build_rotating_hamiltonian(cfg.device, cfg.drive)
+    return cfg, h, model.collapse_operators(cfg.noise)
+
+
+def _method(block_dim):
+    return "expm" if block_dim <= solver.DENSE_BLOCK_MAX else "expm_multiply"
+
+
+@pytest.mark.parametrize("arm, tmax, snapshots", [
+    ("free_decay", None, None),
+    ("echo_4qq", None, None),
+    ("aqec", 1.5, 7),  # RK45 needs ~50 s for the full 27 us aqec window
+])
+def test_exact_propagation_matches_rk45(arm, tmax, snapshots):
+    """Exact propagation agrees with the RK45 integrator, run without a step
+    cap as it once ran every time-independent H, in every state entry."""
+    cfg, h, collapse = _preset(arm)
+    times = np.linspace(0.0, tmax or cfg.scenario.tmax_us,
+                        snapshots or cfg.scenario.snapshots)
+    for initial in LOGICAL:
+        rho0 = model.logical_state(initial).to_density()
+        traj = solver.evolve(h, collapse, rho0, times)
+        block = PRESET_BLOCKS[arm][initial]
+        assert traj.meta["block_dim"] == block
+        assert traj.meta["method"] == _method(block)
+        assert traj.meta["nfev"] == 0
+        ref, meta = solver._integrate_rk45(h, collapse, rho0, times,
+                                           solver.DEFAULT_RTOL,
+                                           solver.DEFAULT_ATOL, np.inf)
+        assert meta["method"] == "rk45" and meta["nfev"] > 0
+        assert meta["block_dim"] == 36 * 36
+        assert np.max(np.abs(traj.states - ref)) <= 1e-6
+
+
+@pytest.mark.parametrize("arm, initial", [("free_decay", "Lx"), ("aqec", "L0")])
+def test_block_reduction_matches_full_liouvillian(arm, initial):
+    """The block that rho0 touches carries the whole evolution: the result
+    equals expm_multiply on the full, unreduced 1296^2 Liouvillian."""
+    cfg, h, collapse = _preset(arm)
+    times = np.linspace(0.0, cfg.scenario.tmax_us, cfg.scenario.snapshots)
+    rho0 = model.logical_state(initial).to_density()
+    traj = solver.evolve(h, collapse, rho0, times)
+    block = PRESET_BLOCKS[arm][initial]
+    assert traj.meta["block_dim"] == block
+    assert traj.meta["method"] == _method(block)
+    gen = solver.liouvillian(h, collapse)
+    assert gen.shape == (36 * 36, 36 * 36)
+    full = expm_multiply(gen, rho0.data.ravel().astype(complex), start=0.0,
+                         stop=times[-1], num=len(times), endpoint=True)
+    assert np.max(np.abs(traj.states.reshape(len(times), -1) - full)) <= 1e-10
+
+
+@pytest.mark.parametrize("arm, initial", [("free_decay", "Lx"), ("aqec", "L0")])
+def test_non_uniform_grid_matches_uniform_grid(arm, initial):
+    _, h, collapse = _preset(arm)
+    rho0 = model.logical_state(initial).to_density()
+    grid = np.array([0.0, 0.1, 0.35, 1.0, 2.5])
+    uniform = np.linspace(0.0, 2.5, 51)
+    shared = np.rint(grid / 0.05).astype(int)
+    a = solver.evolve(h, collapse, rho0, grid)
+    b = solver.evolve(h, collapse, rho0, uniform)
+    block = PRESET_BLOCKS[arm][initial]
+    assert a.meta["method"] == b.meta["method"] == _method(block)
+    assert a.meta["block_dim"] == b.meta["block_dim"] == block
+    assert np.max(np.abs(a.states - b.states[shared])) <= 1e-10
+
+
+def test_liouvillian_rejects_driven_hamiltonian(device, full_drive):
+    h = model.build_static_hamiltonian(device, full_drive)
+    with pytest.raises(ValueError):
+        solver.liouvillian(h, [])
 
 
 def test_refill_rate_values_and_limits():
