@@ -45,7 +45,8 @@ def main():
     print(f"linear inversion fidelity:    {fid_linear:.5f}")
     print(f"maximum likelihood fidelity:  {fid_mle:.5f}")
     print(f"reconstructed purity:         {purity:.5f}")
-    print(f"optimizer: {result.n_iter} iterations, cost {result.cost:.3f}, "
+    print(f"optimizer: {result.n_iter} iterations, "
+          f"negative log-likelihood per count {result.cost:.4f}, "
           f"converged={result.converged}")
 
 

@@ -181,7 +181,12 @@ def run_sweep(config_token, outdir=".", workers=1):
 
 
 def run_tomo(tomogram_path, confusion_path=None, out=None):
-    """Reconstruct a density matrix from a saved tomogram."""
+    """Reconstruct a density matrix from a saved tomogram.
+
+    Prints the saved state's path, the multinomial negative log-likelihood
+    per count of the result (``cost``), the optimizer's iterations and
+    convergence, and the purity.
+    """
     tomo = tomography.Tomogram.load(tomogram_path)
     if confusion_path:
         conf = tomography.ConfusionMatrix.load(confusion_path)

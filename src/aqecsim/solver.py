@@ -279,7 +279,7 @@ _SWEEP_AXES = ("red_pair_center", "blue_pair_center", "qr_frequency")
 
 
 def _sweep_one(args):
-    device, drive, axis, offset, times, rho0_data, dims, collapse, rtol, atol = args
+    device, drive, axis, offset, times, rho0_data, dims, collapse = args
     from . import model
     from .operators import DensityMatrix as DM
 
@@ -287,14 +287,13 @@ def _sweep_one(args):
               "qr_frequency": "qr_offset"}[axis]
     h = model.build_static_hamiltonian(device, drive, **{kwargs: offset})
     rho0 = DM(dims, rho0_data)
-    traj = evolve(h, collapse, rho0, times, rtol=rtol, atol=atol, validate=False)
+    traj = evolve(h, collapse, rho0, times, validate=False)
     n1 = observable_series(traj, [model.transmon_number(1)])[:, 0]
     n2 = observable_series(traj, [model.transmon_number(2)])[:, 0]
     return n1, n2
 
 
-def sweep_chevron(device, drive, axis, offsets, times, rho0, collapse=(),
-                  rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, workers=1):
+def sweep_chevron(device, drive, axis, offsets, times, rho0, collapse=(), workers=1):
     """Sweep a drive-frequency offset and record both transmon photon numbers.
 
     ``axis`` selects which frequency is offset: the red QQ pair center, the
@@ -309,7 +308,7 @@ def sweep_chevron(device, drive, axis, offsets, times, rho0, collapse=(),
     times = np.asarray(times, dtype=float)
 
     jobs = [(device, drive, axis, float(off), times, rho0.data, rho0.dims,
-             tuple(collapse), rtol, atol) for off in offsets]
+             tuple(collapse)) for off in offsets]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_one, jobs))

@@ -1,6 +1,7 @@
 """Two-qutrit tomography: sampling, linear inversion, MLE, fidelity."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -137,6 +138,10 @@ def test_project_to_physical():
     vals = np.linalg.eigvalsh(rho.data)
     assert np.min(vals) >= 0.0
     assert np.trace(rho.data).real == pytest.approx(1.0)
+    # nearest in the Frobenius norm: the excess is shared equally, not rescaled
+    m = np.diag([0.6, 0.5, -0.1] + [0.0] * 6).astype(complex)
+    rho = tomography.project_to_physical(DensityMatrix((3, 3), m))
+    assert np.allclose(rho.data, np.diag([0.55, 0.45] + [0.0] * 7), atol=1e-12)
 
 
 def test_mle_reconstruction_beats_linear_inversion():
@@ -146,6 +151,7 @@ def test_mle_reconstruction_beats_linear_inversion():
     conf = tomography.ConfusionMatrix.identity()
     tomo = tomography.simulate_counts(rho, rset, conf, shots=5000, seed=3)
     result = tomography.mle_reconstruct(tomo, rset, conf)
+    assert result.converged
     assert tomography.fidelity(result.rho, rho) >= 0.98
     start = tomography.project_to_physical(
         tomography.linear_inversion(tomo, rset, conf))
@@ -161,7 +167,51 @@ def test_mle_with_confusion_correction():
     rset = tomography.rotation_set()
     tomo = tomography.simulate_counts(rho, rset, conf, shots=10**6, seed=17)
     result = tomography.mle_reconstruct(tomo, rset, conf)
+    assert result.converged
     assert tomography.fidelity(result.rho, rho) >= 0.995
+
+
+def _likelihood_optimality(rho, tomo, rotations, confusion):
+    """Tr(rho R) and lambda_max(R) - 1, R = sum f/q E over every rotation k
+    and assigned outcome j, with E_kj = sum_i C_ij U_k^dag |i><i| U_k / 81
+    built here, not from the module's effects.  At the maximum-likelihood
+    state the first is 1 and the second 0."""
+    us = rotations.unitaries
+    projectors = np.einsum("kia,kib->kiab", us.conj(), us)
+    q = _probabilities(rho, rotations) @ confusion.matrix
+    f = tomo.frequencies()
+    w = np.divide(f, q, out=np.zeros_like(f), where=f > 0) / 81.0
+    r = np.einsum("ki,kiab->ab", w @ confusion.matrix.T, projectors)
+    return np.trace(rho.data @ r).real, np.linalg.eigvalsh(r)[-1] - 1.0
+
+
+@pytest.mark.parametrize("readout", [1.0, 0.95])
+def test_mle_satisfies_optimality_conditions(readout):
+    base = model.logical_qutrit_state("Lx").to_density()
+    rho = DensityMatrix((3, 3), 0.9 * base.data + 0.1 * np.eye(9) / 9.0)
+    conf = tomography.ConfusionMatrix(
+        readout * np.eye(9) + (1.0 - readout) / 8.0 * (1 - np.eye(9)))
+    rset = tomography.rotation_set()
+    tomo = tomography.simulate_counts(rho, rset, conf, shots=5000, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        result = tomography.mle_reconstruct(tomo, rset, conf)
+    assert result.converged
+    trace, gap = _likelihood_optimality(result.rho, tomo, rset, conf)
+    assert trace == pytest.approx(1.0, abs=1e-9)
+    assert -1e-12 <= gap <= 1e-5
+
+
+def test_mle_iteration_cap_reports_and_warns():
+    rho = model.logical_qutrit_state("L0").to_density()
+    rset = tomography.rotation_set()
+    conf = tomography.ConfusionMatrix.identity()
+    tomo = tomography.simulate_counts(rho, rset, conf, shots=100, seed=0)
+    with pytest.warns(RuntimeWarning, match="^likelihood search stopped"):
+        result = tomography.mle_reconstruct(tomo, rset, conf, max_iter=5)
+    assert result.n_iter == 5
+    assert result.converged is False
+    assert np.trace(result.rho.data).real == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------
