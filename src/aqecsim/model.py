@@ -7,10 +7,11 @@ and collapse-operator assembly; nothing downstream applies it again.
 Three frames are provided, one builder each:
 
 * lab frame (:func:`build_lab_hamiltonian`) -- Duffing transmons plus
-  explicitly modulated charge/flux coupling products (carrier cosines),
+  explicitly modulated charge/flux coupling products, one carrier
+  :class:`Tone` each,
 * logical-static frame (:func:`build_static_hamiltonian`) -- all logical
   states at zero energy, the four two-transmon (QQ) sideband terms carry
-  explicit exp(+-2*pi*i*nu*t) phases,
+  explicit exp(+-2*pi*i*nu*t) phases (a cosine and a sine :class:`Tone`),
 * fully-rotated frame (:func:`build_rotating_hamiltonian`) -- time
   independent, detunings appear as diagonal energies.
 
@@ -136,10 +137,22 @@ class NoiseModel:
 
 
 @dataclass(frozen=True)
+class Tone:
+    """Drive coefficient cos(2*pi*freq*t + phase), freq in MHz and t in us."""
+
+    freq: float
+    phase: float = 0.0
+
+    def __call__(self, t):
+        return math.cos(TWOPI * self.freq * t + self.phase)
+
+
+@dataclass(frozen=True)
 class HamiltonianSpec:
     """H(t) = constant + sum_k c_k(t) * O_k, already in angular units (rad/us).
 
-    Every O_k is Hermitian and every c_k real, so H(t) is Hermitian for all t.
+    Every O_k is Hermitian and every c_k a real :class:`Tone`, so H(t) is
+    Hermitian for all t.
     """
 
     constant: LabeledOperator
@@ -274,16 +287,6 @@ def _hermitian_pair(raising):
             LabeledOperator(raising.dims, 1j * (o - o.conj().T)))
 
 
-def _cos_coeff(freq_mhz):
-    w = TWOPI * freq_mhz
-    return lambda t: math.cos(w * t)
-
-
-def _sin_coeff(freq_mhz):
-    w = TWOPI * freq_mhz
-    return lambda t: math.sin(w * t)
-
-
 def build_rotating_hamiltonian(device, drive):
     """Fully-rotated (time-independent) frame Hamiltonian.
 
@@ -323,12 +326,14 @@ def build_static_hamiltonian(device, drive, *, red_offset=0.0, blue_offset=0.0,
     qr = _qr_raising(drive)
 
     def add_rotating(raising, freq):
+        if not np.any(raising.data):  # a tone at rate 0 drives nothing
+            return
         cos_op, sin_op = _hermitian_pair(raising)
         if freq == 0.0:
             const_terms.append(cos_op.data)
         else:
-            driven.append((_cos_coeff(freq), TWOPI * cos_op))
-            driven.append((_sin_coeff(freq), TWOPI * sin_op))
+            driven.append((Tone(freq), TWOPI * cos_op))
+            driven.append((Tone(freq, -0.5 * math.pi), TWOPI * sin_op))
 
     const_terms = []
     add_rotating(red, drive.nu_r + red_offset)
@@ -420,24 +425,19 @@ def build_lab_hamiltonian(device, drive, scale=1.0):
     o_qr1 = LabeledOperator(FULL_DIMS, TWOPI * (x1 @ xr1))
     o_qr2 = LabeledOperator(FULL_DIMS, TWOPI * (x2 @ xr2))
 
-    def carrier(amp, freq, phase):
-        w = TWOPI * freq
-        return lambda t: amp * math.cos(w * t + phase)
-
     s2 = math.sqrt(2.0)
-    driven = [(carrier(amp, f, ph), o_qq)
+    driven = [(Tone(f, ph), amp * o_qq)
               for amp, f, ph in _qq_tones(device, drive, scale) if amp > 0]
     if drive.omega_qr1 > 0:
-        driven.append((carrier(drive.omega_qr1 / s2, wq1 + wr1 + a1, 0.0), o_qr1))
+        driven.append((Tone(wq1 + wr1 + a1), drive.omega_qr1 / s2 * o_qr1))
     if drive.omega_qr2 > 0:
-        driven.append((carrier(drive.omega_qr2 / s2, wq2 + wr2 + a2, 0.0), o_qr2))
+        driven.append((Tone(wq2 + wr2 + a2), drive.omega_qr2 / s2 * o_qr2))
     return HamiltonianSpec(LabeledOperator(FULL_DIMS, TWOPI * const), tuple(driven))
 
 
 def qq_drive_amplitude(device, drive, t, scale=1.0):
     """Lab-frame flux-drive waveform A_QQ(t) in MHz (sum of the four tones)."""
-    return sum(amp * math.cos(TWOPI * f * t + ph)
-               for amp, f, ph in _qq_tones(device, drive, scale))
+    return sum(amp * Tone(f, ph)(t) for amp, f, ph in _qq_tones(device, drive, scale))
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,22 @@ one ``expm`` per distinct snapshot step, and the snapshots are advanced with
 matrix-vector products.  Larger blocks go through ``expm_multiply``
 (Al-Mohy & Higham), which never forms a dense propagator.
 
-Only H with driven terms (lab and static frames, chevron sweeps) is
-integrated with adaptive embedded Runge-Kutta 4(5) (scipy ``solve_ivp``),
-evaluating the drive coefficients at every internal stage.
+An H whose driven terms all share one frequency w (a single tone, or the
+static frame with one nonzero pair frequency) is propagated exactly too, by
+a truncated Shirley-Floquet expansion (Shirley, Phys. Rev. 138, B979 (1965);
+Grifoni & Hanggi, Phys. Rep. 304, 229 (1998)).  With
+H(t) = H0 + H+ e^{iwt} + H- e^{-iwt} and rho(t) = sum_n e^{inwt} sigma_n(t),
+
+    sigma_n' = (L0 - inw) sigma_n + L+ sigma_{n-1} + L- sigma_{n+1},
+
+with sigma_n(t0) = delta_n0 rho0.  Cut at |n| <= ``FLOQUET_ORDER`` this is one
+time-independent generator on 2M+1 copies of vec(rho), propagated on the same
+block-reduced exact path; the run fails if harmonics +-M are not negligible.
+
+Only H with driven terms at several frequencies (the lab frame with several
+carriers, the static frame with two nonzero pair frequencies) is integrated
+with adaptive embedded Runge-Kutta 4(5) (scipy ``solve_ivp``), evaluating the
+drive coefficients at every internal stage.
 """
 
 from __future__ import annotations
@@ -32,7 +45,9 @@ from .operators import DensityMatrix, LabeledOperator, validate_state
 
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
-DEFAULT_MAX_STEP = 0.01  # us; resolves the fastest (~2 MHz) drive coefficients
+# us; resolves the fastest (~2 MHz) drive coefficients.  Only RK45, which
+# runs for H with several drive frequencies, takes a step cap.
+DEFAULT_MAX_STEP = 0.01
 TRACE_DRIFT_LIMIT = 1e-6
 # Largest block exponentiated densely.  Above it the dense expm temporaries
 # cost more memory than expm_multiply, and below it expm_multiply is slower.
@@ -40,6 +55,10 @@ DENSE_BLOCK_MAX = 128
 # Snapshot steps equal to this relative tolerance share one propagator, so an
 # np.linspace grid counts as uniform.
 STEP_RTOL = 1e-12
+# Harmonics kept on each side of a single-frequency H, and the largest entry
+# harmonics +-FLOQUET_ORDER may reach before the truncation counts as unsafe.
+FLOQUET_ORDER = 8
+FLOQUET_TAIL = 1e-10
 
 
 class SolverError(RuntimeError):
@@ -69,9 +88,20 @@ def liouvillian(h, collapse):
     """
     if h.time_dependent:
         raise ValueError("H has driven terms, so its Liouvillian depends on time")
-    eye = sp.identity(h.constant.data.shape[0], format="csr")
-    hs = sp.csr_matrix(h.constant.data)
-    gen = -1j * (sp.kron(hs, eye) - sp.kron(eye, hs.T))
+    return _lindblad_generator(h.constant.data, collapse)
+
+
+def _commutator(hmat):
+    """Sparse row-major superoperator of rho -> -i[H, rho], for any square H."""
+    eye = sp.identity(hmat.shape[0], format="csr")
+    hs = sp.csr_matrix(hmat)
+    return -1j * (sp.kron(hs, eye) - sp.kron(eye, hs.T))
+
+
+def _lindblad_generator(hmat, collapse):
+    """Sparse row-major Lindblad generator of a constant H matrix."""
+    gen = _commutator(hmat)
+    eye = sp.identity(hmat.shape[0], format="csr")
     for c in collapse:
         cs = sp.csr_matrix(c.data)
         cdc = cs.conj().T @ cs
@@ -103,11 +133,12 @@ def _step_groups(steps):
     return distinct, group
 
 
-def _propagate_exact(h, collapse, rho0, times):
-    """Exact snapshots of a time-independent H on the block rho0 touches."""
-    dim = rho0.dim
-    gen = liouvillian(h, collapse)
-    v0 = rho0.data.astype(complex).ravel()
+def _propagate_exact(gen, v0, times):
+    """Exact snapshots of dv/dt = gen v on the block v0 touches.
+
+    Returns the block's indices into v, the (nt, block) snapshots on it and
+    the method used.
+    """
     keep = _touched_block(gen, v0)
     block = gen[keep][:, keep]
     steps = np.diff(times)
@@ -128,10 +159,50 @@ def _propagate_exact(h, collapse, rho0, times):
         else:
             for k, dt in enumerate(steps):
                 vecs[k + 1] = expm_multiply(block * dt, vecs[k])
-    states = np.zeros((len(times), dim * dim), dtype=complex)
+    return keep, vecs, method
+
+
+def _propagate_static(h, collapse, v0, times):
+    """Exact snapshots of vec(rho) under a time-independent H."""
+    keep, vecs, method = _propagate_exact(liouvillian(h, collapse), v0, times)
+    states = np.zeros((len(times), len(v0)), dtype=complex)
     states[:, keep] = vecs
-    meta = {"method": method, "block_dim": len(keep), "nfev": 0}
-    return states.reshape(len(times), dim, dim), meta
+    return states, {"method": method, "block_dim": len(keep), "nfev": 0}
+
+
+def _propagate_floquet(h, collapse, v0, times):
+    """Exact snapshots of vec(rho) under an H whose driven terms all share one
+    |frequency|, by the truncated Shirley-Floquet generator (module docstring).
+    """
+    freq = abs(h.driven[0][0].freq)
+    w = 2.0 * math.pi * freq
+    # cos(2 pi f t + phi) with f < 0 is cos(w t - phi): e^{iwt} carries e^{-i phi}
+    h_plus = sum(0.5 * np.exp(1j * np.sign(tone.freq) * tone.phase) * op.data
+                 for tone, op in h.driven)
+    m = FLOQUET_ORDER
+    d2 = len(v0)
+    gen = (sp.kron(sp.identity(2 * m + 1), _lindblad_generator(h.constant.data, collapse))
+           + sp.kron(sp.diags(-1j * w * np.arange(-m, m + 1)), sp.identity(d2))
+           + sp.kron(sp.eye(2 * m + 1, k=-1), _commutator(h_plus))
+           + sp.kron(sp.eye(2 * m + 1, k=1), _commutator(h_plus.conj().T))).tocsr()
+    gen.eliminate_zeros()
+    ext = np.zeros((2 * m + 1) * d2, dtype=complex)
+    ext[m * d2:(m + 1) * d2] = v0
+    keep, vecs, _ = _propagate_exact(gen, ext, times)
+    harmonic, entry = np.divmod(keep, d2)
+    harmonic -= m
+    tail = float(np.max(np.abs(vecs[:, np.abs(harmonic) == m]), initial=0.0))
+    if tail > FLOQUET_TAIL:
+        raise SolverError(f"Floquet truncation at M={m} is unsafe for the {freq:g} MHz "
+                          f"tone: harmonics +-M reach {tail:.2e} > {FLOQUET_TAIL:g}")
+    # rho(t) = sum_n e^{inwt} sigma_n(t), summed one harmonic's columns at a time
+    states = np.zeros((len(times), d2), dtype=complex)
+    for n in np.unique(harmonic):
+        cols = harmonic == n
+        states[:, entry[cols]] += np.exp(1j * n * w * times)[:, None] * vecs[:, cols]
+    meta = {"method": "floquet", "block_dim": len(keep), "nfev": 0,
+            "floquet_order": m, "floquet_tail": tail}
+    return states, meta
 
 
 def _lindblad_rhs_factory(h, collapse, dim):
@@ -183,13 +254,18 @@ def evolve(h, collapse, rho0, times, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     """Propagate drho/dt = -i[H(t), rho] + sum_k D[L_k] rho.
 
     ``times`` is the strictly increasing snapshot grid (us); the first entry is
-    the initial time.  A time-independent H is propagated exactly; only H with
-    driven terms is integrated with RK45, under ``rtol``, ``atol`` and
-    ``max_step``.  Snapshots are renormalized in trace when the drift is below
-    1e-6, otherwise the run errors out.  ``meta`` records the ``method``
-    (``"expm"``, ``"expm_multiply"`` or ``"rk45"``), the propagated
-    ``block_dim`` of vec(rho), the RHS evaluations ``nfev`` (0 when exact),
-    ``max_trace_drift`` and, when ``validate``, ``min_eigenvalue``.
+    the initial time.  A time-independent H is propagated exactly, and so is
+    an H whose driven terms all share one |frequency| (Shirley-Floquet, see
+    the module docstring).  Only H driven at several frequencies is
+    integrated with RK45, under ``rtol``, ``atol`` and ``max_step``.
+    Snapshots are renormalized in trace when the drift is below 1e-6,
+    otherwise the run errors out.  ``meta`` records the ``method``
+    (``"expm"``, ``"expm_multiply"``, ``"floquet"`` or ``"rk45"``), the
+    propagated ``block_dim`` of vec(rho) (of the 2M+1 stacked harmonics for
+    Floquet), the RHS evaluations ``nfev`` (0 when exact),
+    ``max_trace_drift`` and, when ``validate``, ``min_eigenvalue``.  Floquet
+    runs add ``floquet_order`` M and ``floquet_tail``, the largest entry of
+    harmonics +-M.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1 or np.any(np.diff(times) <= 0):
@@ -200,10 +276,15 @@ def evolve(h, collapse, rho0, times, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         if c.dims != h.dims:
             raise ValueError("collapse operator dims do not match H dims")
 
-    if h.time_dependent:
-        states, meta = _integrate_rk45(h, collapse, rho0, times, rtol, atol, max_step)
+    v0 = rho0.data.astype(complex).ravel()
+    freqs = {abs(tone.freq) for tone, _ in h.driven}
+    if not freqs:
+        states, meta = _propagate_static(h, collapse, v0, times)
+    elif len(freqs) == 1 and 0.0 not in freqs:
+        states, meta = _propagate_floquet(h, collapse, v0, times)
     else:
-        states, meta = _propagate_exact(h, collapse, rho0, times)
+        states, meta = _integrate_rk45(h, collapse, rho0, times, rtol, atol, max_step)
+    states = states.reshape(len(times), rho0.dim, rho0.dim)
 
     drifts = np.abs(np.einsum("tii->t", states).real - 1.0)
     max_drift = float(np.max(drifts))

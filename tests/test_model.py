@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from aqecsim import analysis, model, solver
+from aqecsim import analysis, config, model, solver
 from aqecsim.operators import (
     FULL_DIMS,
     LabeledOperator,
@@ -104,6 +104,17 @@ def test_static_hamiltonian_hermitian_at_random_times(device_with_shifts, full_d
         m = h.constant.data + sum(coeff(float(t)) * op.data
                                   for coeff, op in h.driven)
         assert np.max(np.abs(m - m.conj().T)) <= 1e-10
+
+
+def test_static_hamiltonian_skips_tones_at_rate_zero():
+    """A tone whose rate is 0 adds no driven term, whatever its frequency:
+    echo_4qq has no QR drive, so a QR offset leaves only the red pair."""
+    cfg = config.load_preset("echo_4qq")
+    assert cfg.drive.omega_qr1 == cfg.drive.omega_qr2 == cfg.drive.nu_b == 0.0
+    h = model.build_static_hamiltonian(cfg.device, cfg.drive, qr_offset=0.5)
+    assert len(h.driven) == 2
+    assert all(np.any(op.data) for _, op in h.driven)
+    assert {tone.freq for tone, _ in h.driven} == {cfg.drive.nu_r}
 
 
 def test_rotating_frame_diagonal_energies(device):

@@ -1,9 +1,12 @@
 """Master-equation integration, rate estimates, and detuning sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.integrate import solve_ivp
 from scipy.optimize import curve_fit
 from scipy.sparse.linalg import expm_multiply
 
@@ -154,6 +157,91 @@ def test_liouvillian_rejects_driven_hamiltonian(device, full_drive):
     h = model.build_static_hamiltonian(device, full_drive)
     with pytest.raises(ValueError):
         solver.liouvillian(h, [])
+
+
+def _dop853_reference(h, collapse, rho0, times):
+    """Snapshots of H(t) from DOP853 at rtol 1e-11 on the sparse 1296^2
+    Liouvillian, evaluating every drive coefficient at every stage."""
+    eye = sp.identity(36, format="csr")
+    gen = solver.liouvillian(model.HamiltonianSpec(h.constant), collapse)
+    sups = [(tone, (-1j * (sp.kron(op.data, eye) - sp.kron(eye, op.data.T))).tocsr())
+            for tone, op in h.driven]
+
+    def rhs(t, v):
+        out = gen @ v
+        for tone, sup in sups:
+            out += tone(t) * (sup @ v)
+        return out
+
+    sol = solve_ivp(rhs, (times[0], times[-1]), rho0.data.ravel().astype(complex),
+                    t_eval=times, method="DOP853", rtol=1e-11, atol=1e-13)
+    assert sol.success
+    return sol.y.T.reshape(len(times), 36, 36)
+
+
+def _red_sweep_hamiltonian(red_freq):
+    """The lossy echo_4qq red_pair_center sweep H with the red pair at
+    ``red_freq`` MHz: blue sits at nu_b = 0, so one frequency is driven."""
+    cfg = config.load_preset("echo_4qq")
+    assert cfg.drive.nu_b == 0.0
+    h = model.build_static_hamiltonian(cfg.device, cfg.drive,
+                                       red_offset=red_freq - cfg.drive.nu_r)
+    return h, model.collapse_operators(cfg.noise)
+
+
+@pytest.mark.parametrize("red_freq", [0.05, 0.5, 2.5, -0.5])
+def test_floquet_matches_dop853_on_red_sweep(red_freq):
+    """Shirley-Floquet propagation of a single-frequency H equals a tight
+    DOP853 integration of the same model in every state entry."""
+    h, collapse = _red_sweep_hamiltonian(red_freq)
+    (freq,) = {abs(tone.freq) for tone, _ in h.driven}
+    assert freq == pytest.approx(abs(red_freq))
+    rho0 = basis_state(FULL_DIMS, "gf00").to_density()
+    times = np.linspace(0.0, 2.0, 41)
+    traj = solver.evolve(h, collapse, rho0, times)
+    assert traj.meta["method"] == "floquet" and traj.meta["nfev"] == 0
+    assert traj.meta["floquet_order"] == solver.FLOQUET_ORDER
+    assert traj.meta["floquet_tail"] <= solver.FLOQUET_TAIL
+    assert traj.meta["block_dim"] < (2 * solver.FLOQUET_ORDER + 1) * 36 * 36
+    ref = _dop853_reference(h, collapse, rho0, times)
+    assert np.max(np.abs(traj.states - ref)) <= 1e-8
+
+
+def test_evolve_dispatch_by_drive_frequencies(device, full_drive):
+    """No drive: exact; one |frequency| (also red and blue at -nu and +nu):
+    Floquet; two distinct pair frequencies: RK45."""
+    rho0 = model.logical_state("L0").to_density()
+    times = np.linspace(0.0, 0.05, 3)
+    cases = [
+        (model.build_rotating_hamiltonian(device, full_drive), ("expm", "expm_multiply")),
+        (model.build_static_hamiltonian(device, dataclasses.replace(full_drive, nu_b=0.0)),
+         ("floquet",)),
+        (model.build_static_hamiltonian(device, dataclasses.replace(full_drive, nu_b=-0.8)),
+         ("floquet",)),
+        (model.build_static_hamiltonian(device, full_drive), ("rk45",)),
+    ]
+    for h, methods in cases:
+        assert solver.evolve(h, [], rho0, times).meta["method"] in methods
+
+
+def test_floquet_truncation_guard(monkeypatch):
+    """Too few harmonics for the drive raise instead of returning a
+    truncated answer, naming M and the frequency."""
+    h, collapse = _red_sweep_hamiltonian(0.5)
+    rho0 = basis_state(FULL_DIMS, "gf00").to_density()
+    monkeypatch.setattr(solver, "FLOQUET_ORDER", 1)
+    with pytest.raises(solver.SolverError, match=r"M=1 .* 0\.5 MHz"):
+        solver.evolve(h, collapse, rho0, np.linspace(0.0, 1.0, 5))
+
+
+def test_tone_is_a_phased_cosine():
+    rng = np.random.default_rng(3)
+    for t in rng.uniform(-5.0, 5.0, size=50):
+        assert model.Tone(0.7)(t) == pytest.approx(math.cos(TWOPI * 0.7 * t), abs=1e-12)
+        assert model.Tone(0.7, -0.5 * math.pi)(t) == pytest.approx(
+            math.sin(TWOPI * 0.7 * t), abs=1e-12)
+        assert model.Tone(-1.3, 0.4)(t) == pytest.approx(
+            math.cos(0.4 - TWOPI * 1.3 * t), abs=1e-12)
 
 
 def test_refill_rate_values_and_limits():
