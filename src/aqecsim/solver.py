@@ -263,9 +263,11 @@ def evolve(h, collapse, rho0, times, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
     (``"expm"``, ``"expm_multiply"``, ``"floquet"`` or ``"rk45"``), the
     propagated ``block_dim`` of vec(rho) (of the 2M+1 stacked harmonics for
     Floquet), the RHS evaluations ``nfev`` (0 when exact),
-    ``max_trace_drift`` and, when ``validate``, ``min_eigenvalue``.  Floquet
-    runs add ``floquet_order`` M and ``floquet_tail``, the largest entry of
-    harmonics +-M.
+    ``max_trace_drift`` and, when ``validate``, the renormalized snapshots'
+    smallest eigenvalue ``min_eigenvalue`` and largest entry of rho - rho^dag
+    ``max_hermiticity_deviation`` (one ``validate_state`` call on the whole
+    stack).  Floquet runs add ``floquet_order`` M and ``floquet_tail``, the
+    largest entry of harmonics +-M.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1 or np.any(np.diff(times) <= 0):
@@ -286,19 +288,18 @@ def evolve(h, collapse, rho0, times, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
         states, meta = _integrate_rk45(h, collapse, rho0, times, rtol, atol, max_step)
     states = states.reshape(len(times), rho0.dim, rho0.dim)
 
-    drifts = np.abs(np.einsum("tii->t", states).real - 1.0)
-    max_drift = float(np.max(drifts))
+    traces = np.einsum("tii->t", states).real
+    max_drift = float(np.max(np.abs(traces - 1.0)))
     if max_drift >= TRACE_DRIFT_LIMIT:
         raise SolverError(f"trace drift {max_drift:.2e} exceeds {TRACE_DRIFT_LIMIT:g}")
-    traces = np.einsum("tii->t", states)
-    states = states / traces.real[:, None, None]
+    states = states / traces[:, None, None]
 
     traj = Trajectory(times, states, rho0.dims,
                       meta={**meta, "max_trace_drift": max_drift})
     if validate:
-        worst = min(validate_state(traj.state(i), tol=1e-6).min_eigenvalue
-                    for i in range(len(times)))
-        traj.meta["min_eigenvalue"] = float(worst)
+        report = validate_state(states, tol=1e-6)
+        traj.meta["min_eigenvalue"] = report.min_eigenvalue
+        traj.meta["max_hermiticity_deviation"] = report.hermiticity_deviation
     return traj
 
 

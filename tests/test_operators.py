@@ -5,6 +5,7 @@ import pytest
 
 from aqecsim.operators import (
     FULL_DIMS,
+    VALIDATE_CHUNK,
     DensityMatrix,
     DimensionMismatchError,
     LabeledOperator,
@@ -125,3 +126,72 @@ def test_validate_state_pass_and_fail():
     report = validate_state(bad)
     assert not report.passed
     assert report.min_eigenvalue < -1e-6
+
+
+def _loop_report(stack, tol):
+    """validate_state's per-matrix formulas on every matrix, full eigvalsh."""
+    herm = max(float(np.max(np.abs(m - m.conj().T))) for m in stack)
+    trace_dev = max(float(abs(np.trace(m).real - 1.0) + abs(np.trace(m).imag))
+                    for m in stack)
+    min_eig = min(float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
+                  for m in stack)
+    return herm, trace_dev, min_eig, herm <= tol and trace_dev <= tol and min_eig >= -tol
+
+
+def _assert_matches_loop(report, stack, tol):
+    herm, trace_dev, min_eig, passed = _loop_report(stack, tol)
+    assert report.hermiticity_deviation == herm
+    assert report.trace_deviation == trace_dev
+    assert report.passed == passed
+    assert abs(report.min_eigenvalue - min_eig) <= 1e-12
+
+
+def _random_state_block(rng, size, eigenvalues=None):
+    """Random Hermitian positive block, or with the given eigenvalues."""
+    a = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    if eigenvalues is None:
+        return a @ a.conj().T
+    q, _ = np.linalg.qr(a)
+    return q @ np.diag(eigenvalues) @ q.conj().T
+
+
+def test_validate_state_stack_matches_per_matrix_loop():
+    """Blocks of sizes 1, 2, 3 and 5 on levels scattered by a permutation:
+    the block-by-block check gives the per-matrix loop's report."""
+    rng = np.random.default_rng(11)
+    sizes = (1, 2, 3, 5)
+    n = sum(sizes)
+    levels = np.split(rng.permutation(n), np.cumsum(sizes)[:-1])
+    assert any(np.any(np.diff(np.sort(lv)) > 1) for lv in levels)
+    nt = 2 * VALIDATE_CHUNK + 44  # a partial last chunk
+    stack = np.zeros((nt, n, n), dtype=complex)
+    for t in range(nt):
+        for lv in levels:
+            block = _random_state_block(rng, len(lv))
+            skew = rng.normal(size=block.shape) * 1e-12
+            stack[t][np.ix_(lv, lv)] = block + skew - skew.T
+        stack[t] /= np.trace(stack[t]).real
+    report = validate_state(stack, tol=1e-8)
+    assert report.passed
+    _assert_matches_loop(report, stack, 1e-8)
+
+    # plant eigenvalue -1e-3 in the size-3 block of one snapshot of the second
+    # chunk, keeping the block's trace
+    bad = stack.copy()
+    lv = levels[2]
+    t = VALIDATE_CHUNK + 23
+    rest = np.trace(bad[t][np.ix_(lv, lv)]).real + 1e-3
+    bad[t][np.ix_(lv, lv)] = _random_state_block(rng, 3, [-1e-3, rest / 3, 2 * rest / 3])
+    report = validate_state(bad, tol=1e-8)
+    assert not report.passed
+    assert report.min_eigenvalue == pytest.approx(-1e-3, abs=1e-12)
+    _assert_matches_loop(report, bad, 1e-8)
+
+
+def test_validate_state_dense_density_matrix_matches_loop():
+    rng = np.random.default_rng(5)
+    m = _random_state_block(rng, 9)
+    m = m / np.trace(m).real + 1e-9 * rng.normal(size=(9, 9))
+    report = validate_state(DensityMatrix((3, 3), m))
+    _assert_matches_loop(report, m[None], 1e-8)
+    assert report.hermiticity_deviation > 0.0

@@ -224,6 +224,32 @@ def test_evolve_dispatch_by_drive_frequencies(device, full_drive):
         assert solver.evolve(h, [], rho0, times).meta["method"] in methods
 
 
+def test_validation_meta_matches_per_snapshot_eigvalsh(device, full_drive):
+    """One validate_state call on the whole stack records the same smallest
+    eigenvalue as a full eigvalsh of every snapshot, and the same largest
+    |rho - rho^dag| entry, on every propagation method."""
+    cfg, h, collapse = _preset("free_decay")
+    _, h_aqec, collapse_aqec = _preset("aqec")
+    h_red, collapse_red = _red_sweep_hamiltonian(0.5)
+    cases = [
+        ("expm", h, collapse, "Lx", np.linspace(0.0, cfg.scenario.tmax_us, 1081)),
+        ("expm_multiply", h_aqec, collapse_aqec, "Lx", np.linspace(0.0, 1.5, 7)),
+        ("floquet", h_red, collapse_red, None, np.linspace(0.0, 2.0, 41)),
+        ("rk45", model.build_static_hamiltonian(device, full_drive), [], "L0",
+         np.linspace(0.0, 0.1, 5)),
+    ]
+    for method, ham, ops, initial, times in cases:
+        rho0 = (model.logical_state(initial) if initial
+                else basis_state(FULL_DIMS, "gf00")).to_density()
+        traj = solver.evolve(ham, ops, rho0, times)
+        assert traj.meta["method"] == method
+        herm = max(float(np.max(np.abs(m - m.conj().T))) for m in traj.states)
+        min_eig = min(float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
+                      for m in traj.states)
+        assert traj.meta["max_hermiticity_deviation"] == herm
+        assert abs(traj.meta["min_eigenvalue"] - min_eig) <= 1e-12
+
+
 def test_floquet_truncation_guard(monkeypatch):
     """Too few harmonics for the drive raise instead of returning a
     truncated answer, naming M and the frequency."""
