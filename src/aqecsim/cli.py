@@ -154,11 +154,7 @@ def run_sweep(config_token, outdir=".", workers=1):
 
     offsets = np.linspace(sw.start, sw.stop, sw.num)
     times = np.linspace(0.0, sw.tmax_us, sw.snapshots)
-    try:
-        rho0 = model.logical_state(sw.initial).to_density()
-    except ValueError:
-        from .operators import FULL_DIMS, basis_state
-        rho0 = basis_state(FULL_DIMS, sw.initial).to_density()
+    rho0 = model.named_state(sw.initial).to_density()
     collapse = model.collapse_operators(cfg.noise)
     cmap = solver.sweep_chevron(cfg.device, cfg.drive, sw.axis, offsets, times,
                                 rho0, collapse, workers=workers)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import yaml
 
-from .model import DeviceParams, DriveConfig, NoiseModel
+from .model import DeviceParams, DriveConfig, NoiseModel, named_state
 
 ARMS = ("free_decay", "echo_4qq", "aqec")
 INITIAL_STATES = ("L0", "L1", "Lx")
@@ -67,6 +67,10 @@ class Scenario:
             raise ConfigError("scenario.snapshots: must be >= 1")
         if self.skip_initial_us is not None and self.skip_initial_us < 0:
             raise ConfigError("scenario.skip_initial_us: must be >= 0")
+        for idx in self.tomography.snapshots if self.tomography else ():
+            if not -self.snapshots <= idx < self.snapshots:
+                raise ConfigError(f"scenario.tomography.snapshots: index {idx} is "
+                                  f"outside [-{self.snapshots}, {self.snapshots})")
 
     @property
     def fit_skip_us(self):
@@ -95,6 +99,11 @@ class SweepSpec:
             raise ConfigError("sweep.num: offset grid must be nonempty")
         if self.snapshots < 2:
             raise ConfigError("sweep.snapshots: need at least 2 time samples")
+        try:
+            named_state(self.initial)
+        except ValueError as exc:
+            raise ConfigError(f"sweep.initial: {self.initial!r} names no logical, "
+                              f"error or basis state ({exc})") from None
 
 
 @dataclass(frozen=True)

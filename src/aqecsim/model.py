@@ -35,6 +35,7 @@ from .operators import (
     LabeledOperator,
     StateVector,
     basis_index,
+    basis_state,
     destroy,
     identity,
     ket_projector,
@@ -207,6 +208,15 @@ def logical_state(label):
     vac = np.zeros(4)
     vac[0] = 1.0
     return StateVector(FULL_DIMS, np.kron(amps9, vac))
+
+
+def named_state(label):
+    """``logical_state(label)`` for a logical or error label, else the product
+    basis state of FULL_DIMS that ``label`` names, e.g. ``'gf00'``."""
+    try:
+        return logical_state(label)
+    except ValueError:
+        return basis_state(FULL_DIMS, label)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Lindblad master-equation propagation and rate estimates.
 
-A time-independent H (the fully rotated frame) is propagated exactly.  The
-row-major Liouvillian, vec(A rho B) = (A kron B^T) vec(rho), is built once as
-a sparse matrix and cut down to the weakly connected components of its
-sparsity graph that rho0 touches; every other entry of vec(rho) stays exactly
-zero.  Blocks of at most ``DENSE_BLOCK_MAX`` states are exponentiated densely,
-one ``expm`` per distinct snapshot step, and the snapshots are advanced with
+Every call builds one sparse row-major Lindblad generator L0 of H's constant
+part, vec(A rho B) = (A kron B^T) vec(rho), and every path propagates only
+the weakly connected components of its generator's sparsity graph that
+rho0 touches; every other entry of vec(rho) stays exactly zero.
+
+A time-independent H (the fully rotated frame) is propagated exactly on L0.
+Blocks of at most ``DENSE_BLOCK_MAX`` states are exponentiated densely, one
+``expm`` per distinct snapshot step, and the snapshots are advanced with
 matrix-vector products.  Larger blocks go through ``expm_multiply``
 (Al-Mohy & Higham), which never forms a dense propagator.
 
@@ -21,10 +23,12 @@ with sigma_n(t0) = delta_n0 rho0.  Cut at |n| <= ``FLOQUET_ORDER`` this is one
 time-independent generator on 2M+1 copies of vec(rho), propagated on the same
 block-reduced exact path; the run fails if harmonics +-M are not negligible.
 
-Only H with driven terms at several frequencies (the lab frame with several
-carriers, the static frame with two nonzero pair frequencies) is integrated
-with adaptive embedded Runge-Kutta 4(5) (scipy ``solve_ivp``), evaluating the
-drive coefficients at every internal stage.
+Only H with driven terms c_k(t) O_k at several frequencies (the lab frame
+with several carriers, the static frame with two nonzero pair frequencies)
+is integrated with adaptive embedded Runge-Kutta 4(5) (scipy ``solve_ivp``):
+dv/dt = (L0 + sum_k c_k(t) S_k) v, S_k the superoperator of -i[O_k, .], on
+the block of the joint sparsity pattern, evaluating every c_k at every
+internal stage.
 """
 
 from __future__ import annotations
@@ -41,12 +45,13 @@ from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
-from .operators import DensityMatrix, LabeledOperator, validate_state
+from . import model
+from .operators import DensityMatrix, validate_state
 
+# RK45 tolerances and step cap (us); the cap resolves the fastest (~2 MHz)
+# drive coefficients.
 DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
-# us; resolves the fastest (~2 MHz) drive coefficients.  Only RK45, which
-# runs for H with several drive frequencies, takes a step cap.
 DEFAULT_MAX_STEP = 0.01
 TRACE_DRIFT_LIMIT = 1e-6
 # Largest block exponentiated densely.  Above it the dense expm temporaries
@@ -162,17 +167,10 @@ def _propagate_exact(gen, v0, times):
     return keep, vecs, method
 
 
-def _propagate_static(h, collapse, v0, times):
-    """Exact snapshots of vec(rho) under a time-independent H."""
-    keep, vecs, method = _propagate_exact(liouvillian(h, collapse), v0, times)
-    states = np.zeros((len(times), len(v0)), dtype=complex)
-    states[:, keep] = vecs
-    return states, {"method": method, "block_dim": len(keep), "nfev": 0}
-
-
-def _propagate_floquet(h, collapse, v0, times):
+def _propagate_floquet(h, gen, v0, times):
     """Exact snapshots of vec(rho) under an H whose driven terms all share one
-    |frequency|, by the truncated Shirley-Floquet generator (module docstring).
+    |frequency|, by the truncated Shirley-Floquet generator (module docstring)
+    built on the Lindblad generator ``gen`` of H's constant part.
     """
     freq = abs(h.driven[0][0].freq)
     w = 2.0 * math.pi * freq
@@ -181,7 +179,7 @@ def _propagate_floquet(h, collapse, v0, times):
                  for tone, op in h.driven)
     m = FLOQUET_ORDER
     d2 = len(v0)
-    gen = (sp.kron(sp.identity(2 * m + 1), _lindblad_generator(h.constant.data, collapse))
+    gen = (sp.kron(sp.identity(2 * m + 1), gen)
            + sp.kron(sp.diags(-1j * w * np.arange(-m, m + 1)), sp.identity(d2))
            + sp.kron(sp.eye(2 * m + 1, k=-1), _commutator(h_plus))
            + sp.kron(sp.eye(2 * m + 1, k=1), _commutator(h_plus.conj().T))).tocsr()
@@ -205,59 +203,44 @@ def _propagate_floquet(h, collapse, v0, times):
     return states, meta
 
 
-def _lindblad_rhs_factory(h, collapse, dim):
-    hc = h.constant.data
-    driven = [(coeff, op.data) for coeff, op in h.driven]
-    ls = [c.data for c in collapse]
-    lds = [c.data.conj().T for c in collapse]
-    s = np.zeros((dim, dim), dtype=complex)
-    for l, ld in zip(ls, lds):
-        s += ld @ l
-    half_s = 0.5 * s
+def _integrate_rk45(h, gen, v0, times):
+    """Adaptive RK45 snapshots, not renormalized, of dv/dt = (gen + sum_k
+    c_k(t) _commutator(O_k)) v over H's driven terms c_k(t) O_k, on the block
+    v0 touches in the joint sparsity pattern."""
+    sups = [_commutator(op.data) for _, op in h.driven]
+    keep = _touched_block(sum((abs(s) for s in sups), abs(gen)), v0)
+    block = gen[keep][:, keep]
+    driven = [(tone, s[keep][:, keep]) for (tone, _), s in zip(h.driven, sups)]
 
-    def rhs(t, y):
-        rho = y.reshape(dim, dim)
-        ht = hc
-        if driven:
-            ht = hc.copy()
-            for coeff, op in driven:
-                ht += coeff(t) * op
-        out = -1j * (ht @ rho - rho @ ht)
-        if ls:
-            out -= half_s @ rho + rho @ half_s
-            for l, ld in zip(ls, lds):
-                out += l @ rho @ ld
-        return out.ravel()
+    def rhs(t, v):
+        out = block @ v
+        for tone, s in driven:
+            out += tone(t) * (s @ v)
+        return out
 
-    return rhs
-
-
-def _integrate_rk45(h, collapse, rho0, times, rtol, atol, max_step):
-    """Adaptive RK45 snapshots, not renormalized, of any H(t)."""
-    dim = rho0.dim
-    meta = {"method": "rk45", "block_dim": dim * dim, "nfev": 0}
+    states = np.zeros((len(times), len(v0)), dtype=complex)
+    states[0, keep] = v0[keep]
+    meta = {"method": "rk45", "block_dim": len(keep), "nfev": 0}
     if len(times) == 1:
-        return rho0.data[None, :, :].astype(complex), meta
-    rhs = _lindblad_rhs_factory(h, collapse, dim)
-    sol = solve_ivp(rhs, (times[0], times[-1]), rho0.data.ravel().astype(complex),
-                    t_eval=times, method="RK45", rtol=rtol, atol=atol,
-                    max_step=max_step)
+        return states, meta
+    sol = solve_ivp(rhs, (times[0], times[-1]), v0[keep], t_eval=times, method="RK45",
+                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, max_step=DEFAULT_MAX_STEP)
     if not sol.success:
         raise SolverError(f"integration failed near t={sol.t[-1] if len(sol.t) else times[0]:.4f} us: "
                           f"{sol.message}")
+    states[:, keep] = sol.y.T
     meta["nfev"] = int(sol.nfev)
-    return sol.y.T.reshape(len(times), dim, dim), meta
+    return states, meta
 
 
-def evolve(h, collapse, rho0, times, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
-           max_step=DEFAULT_MAX_STEP, validate=True):
+def evolve(h, collapse, rho0, times, validate=True):
     """Propagate drho/dt = -i[H(t), rho] + sum_k D[L_k] rho.
 
     ``times`` is the strictly increasing snapshot grid (us); the first entry is
-    the initial time.  A time-independent H is propagated exactly, and so is
-    an H whose driven terms all share one |frequency| (Shirley-Floquet, see
-    the module docstring).  Only H driven at several frequencies is
-    integrated with RK45, under ``rtol``, ``atol`` and ``max_step``.
+    the initial time.  One sparse Lindblad generator of H's constant part is
+    built per call and shared by the three paths (module docstring): exact
+    for a time-independent H, Shirley-Floquet for an H whose driven terms all
+    share one |frequency|, RK45 for an H driven at several frequencies.
     Snapshots are renormalized in trace when the drift is below 1e-6,
     otherwise the run errors out.  ``meta`` records the ``method``
     (``"expm"``, ``"expm_multiply"``, ``"floquet"`` or ``"rk45"``), the
@@ -279,13 +262,17 @@ def evolve(h, collapse, rho0, times, rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
             raise ValueError("collapse operator dims do not match H dims")
 
     v0 = rho0.data.astype(complex).ravel()
+    gen = _lindblad_generator(h.constant.data, collapse)
     freqs = {abs(tone.freq) for tone, _ in h.driven}
     if not freqs:
-        states, meta = _propagate_static(h, collapse, v0, times)
+        keep, vecs, method = _propagate_exact(gen, v0, times)
+        states = np.zeros((len(times), len(v0)), dtype=complex)
+        states[:, keep] = vecs
+        meta = {"method": method, "block_dim": len(keep), "nfev": 0}
     elif len(freqs) == 1 and 0.0 not in freqs:
-        states, meta = _propagate_floquet(h, collapse, v0, times)
+        states, meta = _propagate_floquet(h, gen, v0, times)
     else:
-        states, meta = _integrate_rk45(h, collapse, rho0, times, rtol, atol, max_step)
+        states, meta = _integrate_rk45(h, gen, v0, times)
     states = states.reshape(len(times), rho0.dim, rho0.dim)
 
     traces = np.einsum("tii->t", states).real
@@ -362,13 +349,10 @@ _SWEEP_AXES = ("red_pair_center", "blue_pair_center", "qr_frequency")
 
 def _sweep_one(args):
     device, drive, axis, offset, times, rho0_data, dims, collapse = args
-    from . import model
-    from .operators import DensityMatrix as DM
-
     kwargs = {"red_pair_center": "red_offset", "blue_pair_center": "blue_offset",
               "qr_frequency": "qr_offset"}[axis]
     h = model.build_static_hamiltonian(device, drive, **{kwargs: offset})
-    rho0 = DM(dims, rho0_data)
+    rho0 = DensityMatrix(dims, rho0_data)
     traj = evolve(h, collapse, rho0, times, validate=False)
     n1 = observable_series(traj, [model.transmon_number(1)])[:, 0]
     n2 = observable_series(traj, [model.transmon_number(2)])[:, 0]

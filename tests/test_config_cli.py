@@ -92,6 +92,45 @@ def test_scenario_validation():
         config.TomographySettings(shots=0)
 
 
+def test_tomography_snapshot_indices_must_be_on_the_grid(tmp_path, capsys):
+    """Indices run over [-snapshots, snapshots); one outside is a config
+    error, not a silent wrap onto another snapshot."""
+    base = FAST_SCENARIO.replace("snapshots: 17", "snapshots: 5")
+    for snaps in ((0, 4), (-5, -1)):
+        text = base + f"  tomography:\n    snapshots: {list(snaps)}\n"
+        cfg = config.load_config(_write(tmp_path, text))
+        assert cfg.scenario.tomography.snapshots == snaps
+    for snaps in ([7], [5], [0, -6]):
+        path = _write(tmp_path, base + f"  tomography:\n    snapshots: {snaps}\n")
+        with pytest.raises(config.ConfigError, match="scenario.tomography.snapshots"):
+            config.load_config(path)
+        assert cli.main(["run", str(path), "--outdir", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+    assert not list(tmp_path.glob("*_tomogram_*"))
+
+
+def test_sweep_initial_label_is_validated(tmp_path, capsys):
+    text = FAST_SCENARIO.split("scenario:")[0] + """
+sweep:
+  axis: qr_frequency
+  start: -1.0
+  stop: 1.0
+  num: 3
+  tmax_us: 1.0
+  snapshots: 5
+  initial: INITIAL
+"""
+    for label in ("E01", "Lx", "gf00", "fe10"):
+        cfg = config.load_config(_write(tmp_path, text.replace("INITIAL", label)))
+        assert cfg.sweep.initial == label
+    for label in ("gx00", "gf0", "gf02", "L7"):
+        path = _write(tmp_path, text.replace("INITIAL", label))
+        with pytest.raises(config.ConfigError, match="sweep.initial"):
+            config.load_config(path)
+        assert cli.main(["sweep", str(path), "--outdir", str(tmp_path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "config"
+
+
 # ---------------------------------------------------------------------------
 # CLI run verb
 

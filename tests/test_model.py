@@ -252,7 +252,7 @@ def test_lab_frame_resonant_sideband_rabi(device):
     h = model.build_lab_hamiltonian(device, drive, scale=0.02)
     times = np.linspace(0.0, 4.0, 321)
     rho0 = basis_state(FULL_DIMS, "eg00").to_density()
-    traj = solver.evolve(h, [], rho0, times, max_step=1e-3)
+    traj = solver.evolve(h, [], rho0, times)
     p = solver.observable_series(traj, [ket_projector(FULL_DIMS, "fg10")])[:, 0]
     assert p.max() > 0.9
     fringe = solver.fringe_frequency(times, p)

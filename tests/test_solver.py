@@ -68,12 +68,20 @@ def test_evolve_input_validation(device):
         solver.evolve(h, bad_collapse, rho0, np.linspace(0.0, 1.0, 3))
 
 
-def test_single_time_returns_initial_state(device):
-    h = _free_hamiltonian(device)
+def test_single_time_returns_initial_state(device, full_drive):
+    """A one-point grid returns rho0 on the exact, Floquet and RK45 paths."""
+    cases = [
+        (_free_hamiltonian(device), "expm"),
+        (model.build_static_hamiltonian(device, dataclasses.replace(full_drive, nu_b=0.0)),
+         "floquet"),
+        (model.build_static_hamiltonian(device, full_drive), "rk45"),
+    ]
     rho0 = model.logical_state("L0").to_density()
-    traj = solver.evolve(h, [], rho0, np.array([0.0]))
-    assert len(traj) == 1
-    assert np.allclose(traj.states[0], rho0.data)
+    for h, method in cases:
+        traj = solver.evolve(h, [], rho0, np.array([0.0]))
+        assert traj.meta["method"] == method
+        assert len(traj) == 1
+        assert np.allclose(traj.states[0], rho0.data)
 
 
 def test_observable_series_warns_on_non_hermitian(device):
@@ -97,11 +105,11 @@ def _method(block_dim):
 @pytest.mark.parametrize("arm, tmax, snapshots", [
     ("free_decay", None, None),
     ("echo_4qq", None, None),
-    ("aqec", 1.5, 7),  # RK45 needs ~50 s for the full 27 us aqec window
+    ("aqec", 1.5, 7),  # RK45 needs 2.5-3.2 s per state for the full 27 us window
 ])
 def test_exact_propagation_matches_rk45(arm, tmax, snapshots):
-    """Exact propagation agrees with the RK45 integrator, run without a step
-    cap as it once ran every time-independent H, in every state entry."""
+    """Exact propagation agrees with the RK45 integrator, run on the same
+    generator and block, in every state entry."""
     cfg, h, collapse = _preset(arm)
     times = np.linspace(0.0, tmax or cfg.scenario.tmax_us,
                         snapshots or cfg.scenario.snapshots)
@@ -112,12 +120,12 @@ def test_exact_propagation_matches_rk45(arm, tmax, snapshots):
         assert traj.meta["block_dim"] == block
         assert traj.meta["method"] == _method(block)
         assert traj.meta["nfev"] == 0
-        ref, meta = solver._integrate_rk45(h, collapse, rho0, times,
-                                           solver.DEFAULT_RTOL,
-                                           solver.DEFAULT_ATOL, np.inf)
+        gen = solver.liouvillian(h, collapse)
+        ref, meta = solver._integrate_rk45(h, gen, rho0.data.astype(complex).ravel(),
+                                           times)
         assert meta["method"] == "rk45" and meta["nfev"] > 0
-        assert meta["block_dim"] == 36 * 36
-        assert np.max(np.abs(traj.states - ref)) <= 1e-6
+        assert meta["block_dim"] == block
+        assert np.max(np.abs(traj.states - ref.reshape(traj.states.shape))) <= 1e-6
 
 
 @pytest.mark.parametrize("arm, initial", [("free_decay", "Lx"), ("aqec", "L0")])
@@ -151,6 +159,61 @@ def test_non_uniform_grid_matches_uniform_grid(arm, initial):
     assert a.meta["method"] == b.meta["method"] == _method(block)
     assert a.meta["block_dim"] == b.meta["block_dim"] == block
     assert np.max(np.abs(a.states - b.states[shared])) <= 1e-10
+
+
+def _random_density(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_liouvillian_matches_dense_lindblad_equation():
+    """L @ vec(rho) is -i[H, rho] + sum_k (L rho L^dag - {L^dag L, rho}/2),
+    written out densely, on random physical states of the aqec preset, whose
+    collapse operators include resonator heating (n_res), plus one complex
+    collapse operator, on which a missing conjugate or transpose shows."""
+    cfg, h, collapse = _preset("aqec")
+    assert cfg.noise.n_res > 0
+    rng = np.random.default_rng(11)
+    extra = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))
+    extra[rng.random(size=extra.shape) < 0.9] = 0.0
+    collapse = collapse + [LabeledOperator(FULL_DIMS, 0.1 * extra)]
+    gen = solver.liouvillian(h, collapse)
+    hm = h.constant.data
+    for _ in range(3):
+        rho = _random_density(rng, 36)
+        expected = -1j * (hm @ rho - rho @ hm)
+        for c in collapse:
+            l, ld = c.data, c.data.conj().T
+            expected += l @ rho @ ld - 0.5 * (ld @ l @ rho + rho @ ld @ l)
+        assert np.max(np.abs(gen @ rho.ravel() - expected.ravel())) <= 1e-12
+
+
+def test_commutator_of_non_hermitian_operator():
+    """_commutator(O) @ vec(rho) is -i(O rho - rho O) also for O != O^dag, as
+    the Floquet sideband term h_plus is."""
+    rng = np.random.default_rng(12)
+    op = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))
+    op[rng.random(size=op.shape) < 0.8] = 0.0
+    rho = _random_density(rng, 36)
+    got = solver._commutator(op) @ rho.ravel()
+    assert np.max(np.abs(got - (-1j * (op @ rho - rho @ op)).ravel())) <= 1e-12
+
+
+def test_rk45_matches_dop853_on_dissipative_static_frame():
+    """RK45 on the aqec static frame, driven at two pair frequencies and
+    with every collapse operator, equals a tight DOP853 integration of the
+    same model in every state entry."""
+    cfg, _, collapse = _preset("aqec")
+    h = model.build_static_hamiltonian(cfg.device, cfg.drive)
+    assert len({abs(tone.freq) for tone, _ in h.driven} - {0.0}) == 2
+    rho0 = model.logical_state("L0").to_density()
+    times = np.linspace(0.0, 1.0, 11)
+    traj = solver.evolve(h, collapse, rho0, times)
+    assert traj.meta["method"] == "rk45" and traj.meta["nfev"] > 0
+    assert traj.meta["block_dim"] < 36 * 36
+    ref = _dop853_reference(h, collapse, rho0, times)
+    assert np.max(np.abs(traj.states - ref)) <= 1e-6
 
 
 def test_liouvillian_rejects_driven_hamiltonian(device, full_drive):
