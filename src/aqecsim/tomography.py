@@ -6,10 +6,16 @@ energy basis, giving 9 outcome probabilities per rotation.  Readout
 imperfections enter through a 9x9 confusion matrix (rows = prepared state,
 columns = assigned outcome).  Reconstruction uses one forward model: 729
 POVM effects, one per rotation and assigned outcome, with the confusion
-matrix folded in, so it is never inverted.  Linear inversion is least
-squares on those effects; maximum likelihood minimizes the multinomial
-negative log-likelihood over physical states by accelerated projected
-gradient and stops on a duality gap that bounds its distance to the optimum.
+matrix folded in, so it is never inverted.  States and effects are
+written in real coordinates of Hermitian 9x9 matrices (an orthonormal
+basis, so the trace inner product is the dot product), and the forward
+model is one real 729x81 matrix.  Linear inversion is real least squares
+on it; maximum likelihood minimizes the multinomial negative
+log-likelihood over physical states by accelerated projected gradient and
+stops on a duality gap that bounds its distance to the optimum; the gap's
+eigen-solve runs only when the Rayleigh quotient of the last top
+eigenvector, a lower bound on the largest eigenvalue, no longer shows the
+gap open.
 
 Resonators play no role here; callers trace them out first (see
 ``operators.partial_trace``).
@@ -72,10 +78,9 @@ class RotationSet:
         u = np.asarray(self.unitaries, dtype=complex)
         if u.shape != (N_ROT, N_OUT, N_OUT):
             raise ValueError(f"expected (81, 9, 9) unitaries, got {u.shape}")
-        eye = np.eye(N_OUT)
-        for m in u:
-            if np.max(np.abs(m.conj().T @ m - eye)) > 1e-10:
-                raise ValueError("rotation set contains a non-unitary element")
+        gram = np.einsum("kia,kib->kab", u.conj(), u)
+        if np.max(np.abs(gram - np.eye(N_OUT))) > 1e-10:
+            raise ValueError("rotation set contains a non-unitary element")
         u.setflags(write=False)
         object.__setattr__(self, "unitaries", u)
 
@@ -88,9 +93,10 @@ class RotationSet:
 
 def rotation_set():
     """The standard 81-element two-qutrit tomography rotation set."""
-    singles = _single_qutrit_set()
-    us = np.array([np.kron(s1, s2) for s1 in singles for s2 in singles])
-    return RotationSet(us)
+    s = np.array(_single_qutrit_set())
+    # kron of every ordered pair: us[a, b, (i, k), (j, l)] = s[a, i, j] s[b, k, l]
+    us = s[:, None, :, None, :, None] * s[None, :, None, :, None, :]
+    return RotationSet(us.reshape(N_ROT, N_OUT, N_OUT))
 
 
 @dataclass(frozen=True)
@@ -162,6 +168,9 @@ class Tomogram:
         with open(path) as fh:
             first = fh.readline().lstrip("# ").split()
         meta = dict(kv.split("=") for kv in first if "=" in kv)
+        for key in ("shots", "seed"):
+            if key not in meta:
+                raise ValueError(f"{path}: tomogram header has no {key}=")
         table = np.loadtxt(path, dtype=np.int64, skiprows=2)
         return Tomogram(table[:, 1:], int(meta["shots"]), int(meta["seed"]))
 
@@ -204,17 +213,45 @@ def simulate_counts(rho, rotations, confusion, shots, seed):
 # the minimum.
 GAP_TOL = 1e-7
 
+_UPPER = np.triu_indices(N_OUT, 1)
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _coords(m):
+    """Real coordinates of the Hermitian part of ``m`` (last two axes 9x9).
+
+    The basis is orthonormal in the trace inner product: |a><a|, then
+    (|a><b| + |b><a|)/sqrt2 and i(|a><b| - |b><a|)/sqrt2 for a < b.  So the
+    coordinates are the 9 diagonal entries, then sqrt2 Re and sqrt2 Im of
+    the 36 upper ones; Tr(a b) = coords(a) @ coords(b) for Hermitian a, b,
+    and |coords(m)| is the Frobenius norm.
+    """
+    a, b = _UPPER
+    upper = (m[..., a, b] + m[..., b, a].conj()) * _SQRT_HALF
+    return np.concatenate([m.diagonal(axis1=-2, axis2=-1).real,
+                           upper.real, upper.imag], axis=-1)
+
+
+def _matrix(x):
+    """The Hermitian 9x9 matrix with real coordinates ``x``."""
+    a, b = _UPPER
+    m = np.diag(x[:N_OUT].astype(complex))
+    m[a, b] = (x[N_OUT:N_OUT + a.size] + 1j * x[N_OUT + a.size:]) * _SQRT_HALF
+    m[b, a] = m[a, b].conj()
+    return m
+
 
 def _effects(rotations, confusion):
-    """(729, 81) rows with p = rows @ vec(rho), readout errors folded in.
+    """(729, 81) real rows with p = rows @ _coords(rho), readout folded in.
 
-    Row (k, j) is the effect of rotation k followed by assigned outcome j,
-    sum_i C[i, j] U_k^dag |i><i| U_k / 81, stored as vec of its transpose.
-    Each rotation's nine effects sum to I/81, so the 729 probabilities of a
-    state sum to one.
+    Row (k, j) holds the coordinates of the effect of rotation k followed by
+    assigned outcome j, sum_i C[i, j] U_k^dag |i><i| U_k / 81.  Each
+    rotation's nine effects sum to I/81, so the 729 probabilities of a state
+    sum to one.
     """
     us = rotations.unitaries
-    rows = np.einsum("kia,kib,ij->kjab", us, us.conj(), confusion.matrix)
+    projectors = us.conj()[..., :, None] * us[..., None, :]  # U^dag|i><i|U
+    rows = np.matmul(confusion.matrix.T, _coords(projectors))
     return rows.reshape(N_ROT * N_OUT, N_OUT * N_OUT) / N_ROT
 
 
@@ -245,9 +282,18 @@ def linear_inversion(tomo, rotations, confusion):
                                     _frequencies(tomo), rcond=None)
     if rank < N_OUT * N_OUT:
         raise ValueError("rotation set is not informationally complete")
-    rho = x.reshape(N_OUT, N_OUT)
-    rho = 0.5 * (rho + rho.conj().T)
+    rho = _matrix(x)
     return DensityMatrix(QQ_DIMS, rho / np.trace(rho).real)
+
+
+def _project(m):
+    """Nearest physical state to the Hermitian matrix ``m`` (Frobenius)."""
+    vals, vecs = np.linalg.eigh(m)
+    desc = vals[::-1]
+    shifts = (np.cumsum(desc) - 1.0) / np.arange(1, desc.size + 1)
+    keep = np.nonzero(desc > shifts)[0][-1]
+    vals = np.clip(vals - shifts[keep], 0.0, None)
+    return (vecs * vals) @ vecs.conj().T
 
 
 def project_to_physical(rho):
@@ -256,12 +302,8 @@ def project_to_physical(rho):
     The eigenvalues move to the nearest point of the probability simplex,
     the eigenvectors stay (Smolin, Gambetta & Smith, PRL 108, 070502 (2012)).
     """
-    vals, vecs = np.linalg.eigh(0.5 * (rho.data + rho.data.conj().T))
-    desc = vals[::-1]
-    shifts = (np.cumsum(desc) - 1.0) / np.arange(1, desc.size + 1)
-    keep = np.nonzero(desc > shifts)[0][-1]
-    vals = np.clip(vals - shifts[keep], 0.0, None)
-    return DensityMatrix(rho.dims, (vecs * vals) @ vecs.conj().T)
+    return DensityMatrix(rho.dims,
+                         _project(0.5 * (rho.data + rho.data.conj().T)))
 
 
 @dataclass(frozen=True)
@@ -274,6 +316,14 @@ class MLEResult:
     converged: bool
 
 
+def _top_eigen(r):
+    """lambda_max(R) and the coordinates of its eigenprojector, R given by
+    its coordinates."""
+    vals, vecs = np.linalg.eigh(_matrix(r))
+    top = vecs[:, -1]
+    return vals[-1], _coords(np.outer(top, top.conj()))
+
+
 def mle_reconstruct(tomo, rotations, confusion, max_iter=10000):
     """Maximum-likelihood physical state from a Tomogram.
 
@@ -283,55 +333,62 @@ def mle_reconstruct(tomo, rotations, confusion, max_iter=10000):
     95, 062336 (2017)) from I/9.  Each step, backtracking trials included,
     is one of at most ``max_iter`` iterations.  ``converged`` means the
     duality gap fell below :data:`GAP_TOL`.
+
+    States and gradients are real coordinates (:func:`_coords`).  Each
+    step makes one pass over the effects for the trial point and one for
+    both gradients; probabilities are linear in the state, so those of the
+    extrapolated point need none.
     """
     rows, f = _observed(tomo, rotations, confusion)
-
-    def probabilities(m):
-        return (rows @ m.ravel()).real
-
-    def minus_gradient(p):  # R = sum f/p E
-        return ((f / p) @ rows).reshape(N_OUT, N_OUT).T
-
-    rho = np.eye(N_OUT, dtype=complex) / N_OUT
-    p = probabilities(rho)
-    sigma, p_s, r_s = rho, p, minus_gradient(p)
-    converged = np.linalg.eigvalsh(r_s)[-1] - 1.0 < GAP_TOL
+    x = _coords(np.eye(N_OUT)) / N_OUT
+    p = rows @ x
+    r_s = (f / p) @ rows  # R = sum f/p E, minus the gradient, at sigma
+    lam, top = _top_eigen(r_s)
+    converged = lam - 1.0 < GAP_TOL
+    sigma, p_s = x, p
     theta, step, n_iter = 1.0, 1.0, 0
     while not converged and n_iter < max_iter:
         n_iter += 1
-        new = project_to_physical(DensityMatrix(QQ_DIMS, sigma + step * r_s)).data
+        new = _coords(_project(_matrix(sigma + step * r_s)))
         d = new - sigma
-        x = probabilities(d) / p_s
+        q = (rows @ d) / p_s
         # Accept once the NLL exceeds its linearization at sigma by at most
         # |d|^2 / (2 step).  The excess is summed term by term: near the
         # minimum it falls below the rounding error of the NLL itself.
-        if (np.min(x) <= -1.0
-                or f @ (x - np.log1p(x)) > np.vdot(d, d).real / (2.0 * step)):
+        if np.min(q) <= -1.0 or f @ (q - np.log1p(q)) > d @ d / (2.0 * step):
             step *= 0.5
             continue
-        p_new = p_s * (1.0 + x)
-        converged = np.linalg.eigvalsh(minus_gradient(p_new))[-1] - 1.0 < GAP_TOL
-        if np.vdot(r_s, new - rho).real < 0.0:  # moving uphill: drop the momentum
+        p_new = p_s * (1.0 + q)
+        if r_s @ (new - x) < 0.0:  # moving uphill: drop the momentum
             theta = 1.0
         theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta**2))
-        sigma = new + (theta - 1.0) / theta_next * (new - rho)
-        rho, p, theta = new, p_new, theta_next
-        p_s = probabilities(sigma)
+        c = (theta - 1.0) / theta_next
+        sigma, p_s = new + c * (new - x), p_new + c * (p_new - p)
+        x, p, theta = new, p_new, theta_next
         if np.min(p_s) <= 0.0:  # extrapolated past an observed outcome's zero
-            sigma, p_s, theta = rho, p, 1.0
-        r_s = minus_gradient(p_s)
+            sigma, p_s, theta = x, p, 1.0
+            r_new = r_s = (f / p) @ rows
+        else:
+            r_new, r_s = (f / np.stack([p, p_s])) @ rows
+        # The Rayleigh quotient of the last top eigenvector bounds
+        # lambda_max(R) from below: while it exceeds 1 + GAP_TOL the gap
+        # is open and needs no eigen-solve.
+        if r_new @ top - 1.0 < GAP_TOL:
+            lam, top = _top_eigen(r_new)
+            converged = lam - 1.0 < GAP_TOL
         step *= 1.1
     if not converged:
         warnings.warn(f"likelihood search stopped after {n_iter} iterations, "
                       f"before the duality gap fell below {GAP_TOL:g}",
                       RuntimeWarning, stacklevel=2)
-    return MLEResult(DensityMatrix(QQ_DIMS, rho), _nll(f, p), n_iter, bool(converged))
+    return MLEResult(DensityMatrix(QQ_DIMS, _matrix(x)), _nll(f, p), n_iter,
+                     bool(converged))
 
 
 def mle_cost(rho, tomo, rotations, confusion):
     """The NLL per count that :func:`mle_reconstruct` minimizes, at ``rho``."""
     rows, f = _observed(tomo, rotations, confusion)
-    return _nll(f, (rows @ rho.data.ravel()).real)
+    return _nll(f, rows @ _coords(rho.data))
 
 
 def fidelity(a, b):

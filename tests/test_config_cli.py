@@ -221,6 +221,22 @@ def test_main_tomo_verb(tmp_path, capsys):
     assert "purity:" in capsys.readouterr().out
 
 
+def test_main_tomo_rejects_a_tomogram_without_header(tmp_path, capsys):
+    tomo = tomography.simulate_counts(model.logical_qutrit_state("L0").to_density(),
+                                      tomography.rotation_set(),
+                                      tomography.ConfusionMatrix.identity(),
+                                      shots=100, seed=1)
+    tomo_path = tmp_path / "tomo.tsv"
+    tomo.save(tomo_path)
+    lines = tomo_path.read_text().splitlines(keepends=True)
+    tomo_path.write_text("# counts\n" + "".join(lines[1:]))
+    assert cli.main(["tomo", str(tomo_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError"
+    assert "shots=" in err["message"]
+    assert not tomo_path.with_suffix(".rho.npy").exists()
+
+
 def test_main_error_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "no_such_preset"]) == 2
     err = capsys.readouterr().err

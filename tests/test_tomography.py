@@ -38,6 +38,11 @@ def test_rotation_set_structure():
     assert np.allclose(rset[27], np.kron(flip, np.eye(3)))
     with pytest.raises(ValueError):
         tomography.RotationSet(np.ones((81, 9, 9), dtype=complex))
+    # one element off unitarity by 2e-9, above the 1e-10 bound
+    us = rset.unitaries.copy()
+    us[40] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match="non-unitary"):
+        tomography.RotationSet(us)
 
 
 def test_rotation_set_is_informationally_complete():
@@ -212,6 +217,122 @@ def test_mle_iteration_cap_reports_and_warns():
     assert result.n_iter == 5
     assert result.converged is False
     assert np.trace(result.rho.data).real == pytest.approx(1.0)
+
+
+def _readout(fidelity):
+    return tomography.ConfusionMatrix(
+        fidelity * np.eye(9) + (1.0 - fidelity) / 8.0 * (1 - np.eye(9)))
+
+
+def _random_hermitian(rng):
+    m = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+    return m + m.conj().T
+
+
+def test_real_coordinates_are_an_isometry():
+    rng = np.random.default_rng(4)
+    a, b = _random_hermitian(rng), _random_hermitian(rng)
+    xa, xb = tomography._coords(a), tomography._coords(b)
+    assert xa.shape == (81,) and xa.dtype == float
+    assert xa @ xb == pytest.approx(np.trace(a @ b).real, rel=1e-13)
+    assert np.linalg.norm(xa) == pytest.approx(np.linalg.norm(a), rel=1e-13)
+    assert np.max(np.abs(tomography._matrix(xa) - a)) <= 1e-13
+
+
+def test_forward_model_matches_einsum_probabilities():
+    """A @ coords(rho) against this file's own probabilities, readout
+    applied after the rotation, for Hermitian matrices that need not be
+    states."""
+    rng = np.random.default_rng(6)
+    rset = tomography.rotation_set()
+    conf = _readout(0.95)
+    rows = tomography._effects(rset, conf)
+    assert rows.shape == (729, 81) and rows.dtype == float
+    for _ in range(3):
+        rho = DensityMatrix((3, 3), _random_hermitian(rng))
+        expected = (_probabilities(rho, rset) @ conf.matrix).ravel() / 81.0
+        assert np.max(np.abs(rows @ tomography._coords(rho.data) - expected)) <= 1e-13
+
+
+def _reference_mle(tomo, rotations, confusion, max_iter=10000):
+    """The likelihood search on complex 9x9 matrices: the same accelerated
+    projected gradient, restart and duality-gap test as
+    :func:`tomography.mle_reconstruct`, but every probability recomputed
+    from complex effects and every gap from a full eigen-solve."""
+    us = rotations.unitaries
+    rows = np.einsum("kia,kib,ij->kjab", us, us.conj(), confusion.matrix)
+    rows = rows.reshape(729, 81) / 81.0
+    f = tomo.frequencies().ravel() / 81.0
+    rows, f = rows[f > 0], f[f > 0]
+
+    def probabilities(m):
+        return (rows @ m.ravel()).real
+
+    def minus_gradient(p):
+        return ((f / p) @ rows).reshape(9, 9).T
+
+    def project(m):
+        vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
+        desc = vals[::-1]
+        shifts = (np.cumsum(desc) - 1.0) / np.arange(1, 10)
+        vals = np.clip(vals - shifts[np.nonzero(desc > shifts)[0][-1]], 0.0, None)
+        return (vecs * vals) @ vecs.conj().T
+
+    rho = np.eye(9, dtype=complex) / 9.0
+    p = probabilities(rho)
+    sigma, p_s, r_s = rho, p, minus_gradient(p)
+    converged = np.linalg.eigvalsh(r_s)[-1] - 1.0 < tomography.GAP_TOL
+    theta, step, n_iter = 1.0, 1.0, 0
+    while not converged and n_iter < max_iter:
+        n_iter += 1
+        new = project(sigma + step * r_s)
+        d = new - sigma
+        x = probabilities(d) / p_s
+        if (np.min(x) <= -1.0
+                or f @ (x - np.log1p(x)) > np.vdot(d, d).real / (2.0 * step)):
+            step *= 0.5
+            continue
+        p_new = p_s * (1.0 + x)
+        converged = (np.linalg.eigvalsh(minus_gradient(p_new))[-1] - 1.0
+                     < tomography.GAP_TOL)
+        if np.vdot(r_s, new - rho).real < 0.0:
+            theta = 1.0
+        theta_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * theta**2))
+        sigma = new + (theta - 1.0) / theta_next * (new - rho)
+        rho, p, theta = new, p_new, theta_next
+        p_s = probabilities(sigma)
+        if np.min(p_s) <= 0.0:
+            sigma, p_s, theta = rho, p, 1.0
+        r_s = minus_gradient(p_s)
+        step *= 1.1
+    return rho, n_iter, bool(converged)
+
+
+def _mixed_lx():
+    base = model.logical_qutrit_state("Lx").to_density()
+    return DensityMatrix((3, 3), 0.9 * base.data + 0.1 * np.eye(9) / 9.0)
+
+
+_REFERENCE_CASES = [(label, readout, 5000)
+                    for label in ("L0", "L1", "Lx", "E12", "Lx_mixed")
+                    for readout in (1.0, 0.95)] + [("L1", 0.95, 10**6)]
+
+
+@pytest.mark.parametrize("label,readout,shots", _REFERENCE_CASES)
+def test_mle_matches_reference_loop(label, readout, shots):
+    """Same iterates as the complex-matrix search, and a reported cost with
+    no drift from the probabilities carried between steps."""
+    rho = (_mixed_lx() if label == "Lx_mixed"
+           else model.logical_qutrit_state(label).to_density())
+    rset, conf = tomography.rotation_set(), _readout(readout)
+    seed = 11 + _REFERENCE_CASES.index((label, readout, shots))
+    tomo = tomography.simulate_counts(rho, rset, conf, shots, seed)
+    result = tomography.mle_reconstruct(tomo, rset, conf)
+    ref_rho, ref_iter, ref_converged = _reference_mle(tomo, rset, conf)
+    assert result.n_iter == ref_iter
+    assert result.converged is ref_converged is True
+    assert np.max(np.abs(result.rho.data - ref_rho)) <= 1e-10
+    assert abs(result.cost - tomography.mle_cost(result.rho, tomo, rset, conf)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
