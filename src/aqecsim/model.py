@@ -24,6 +24,7 @@ zeros.  The lab frame has no shift terms.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -221,17 +222,22 @@ def named_state(label):
 
 # ---------------------------------------------------------------------------
 # operator helpers on the full space
+#
+# The label-keyed operators are built once and cached: a LabeledOperator
+# holds a read-only array, so no caller can alter a shared one.
 
 def _embed_qq(op9):
     """Two-qutrit operator tensored with the two-resonator identity."""
     return tensor(LabeledOperator(QQ_DIMS, op9), identity(2), identity(2))
 
 
+@functools.cache
 def _p(label):
     """Two-transmon projector |ab><ab| x I4."""
     return _embed_qq(ket_projector(QQ_DIMS, label).data)
 
 
+@functools.cache
 def transmon_number(j):
     """n_qj on the full space (j = 1 or 2)."""
     ops = [number(3) if j == 1 else identity(3),
@@ -240,11 +246,20 @@ def transmon_number(j):
     return tensor(ops)
 
 
+@functools.cache
 def resonator_number(j):
     ops = [identity(3), identity(3),
            number(2) if j == 1 else identity(2),
            number(2) if j == 2 else identity(2)]
     return tensor(ops)
+
+
+@functools.cache
+def _resonator_lowering(j):
+    """Annihilation operator of resonator j on the full space (j = 1 or 2)."""
+    return tensor(identity(3), identity(3),
+                  destroy(2) if j == 1 else identity(2),
+                  destroy(2) if j == 2 else identity(2))
 
 
 def _qq_raising(drive):
@@ -263,15 +278,13 @@ def _qq_raising(drive):
 
 def _qr_raising(drive):
     """Sum of both |e0> -> |f1> error-correcting sideband raising parts."""
-    a1 = tensor(identity(3), identity(3), destroy(2), identity(2))
-    a2 = tensor(identity(3), identity(3), identity(2), destroy(2))
     qr1 = 0.5 * drive.omega_qr1 * (
-        a1.dag().data @ _embed_qq(
+        _resonator_lowering(1).dag().data @ _embed_qq(
             ket_projector(QQ_DIMS, "fg", "eg").data
             + ket_projector(QQ_DIMS, "ff", "ef").data).data
     )
     qr2 = 0.5 * drive.omega_qr2 * (
-        a2.dag().data @ _embed_qq(
+        _resonator_lowering(2).dag().data @ _embed_qq(
             ket_projector(QQ_DIMS, "gf", "ge").data
             + ket_projector(QQ_DIMS, "ff", "fe").data).data
     )
@@ -416,8 +429,7 @@ def build_lab_hamiltonian(device, drive, scale=1.0):
 
     aq1 = tensor(destroy(3), identity(3), identity(2), identity(2))
     aq2 = tensor(identity(3), destroy(3), identity(2), identity(2))
-    ar1 = tensor(identity(3), identity(3), destroy(2), identity(2))
-    ar2 = tensor(identity(3), identity(3), identity(2), destroy(2))
+    ar1, ar2 = _resonator_lowering(1), _resonator_lowering(2)
 
     def duffing(aq, alpha):
         ad = aq.dag().data
@@ -453,11 +465,14 @@ def qq_drive_amplitude(device, drive, t, scale=1.0):
 # ---------------------------------------------------------------------------
 # noise
 
-def _transmon_local(op3, j):
-    ops = [LabeledOperator((3,), op3) if j == 1 else identity(3),
-           LabeledOperator((3,), op3) if j == 2 else identity(3),
-           identity(2), identity(2)]
-    return tensor(ops)
+@functools.cache
+def _transmon_jump(j, to, frm):
+    """|to><frm| on transmon j (levels g=0, e=1, f=2) on the full space."""
+    op3 = np.zeros((3, 3))
+    op3[to, frm] = 1.0
+    return tensor([LabeledOperator((3,), op3) if j == 1 else identity(3),
+                   LabeledOperator((3,), op3) if j == 2 else identity(3),
+                   identity(2), identity(2)])
 
 
 def collapse_operators(noise):
@@ -468,37 +483,27 @@ def collapse_operators(noise):
     omitted.
     """
     ops = []
-    g_from_e = np.zeros((3, 3), dtype=complex); g_from_e[0, 1] = 1.0
-    e_from_f = np.zeros((3, 3), dtype=complex); e_from_f[1, 2] = 1.0
-    e_from_g = g_from_e.conj().T
-    f_from_e = e_from_f.conj().T
-    proj_e = np.diag([0.0, 1.0, 0.0]).astype(complex)
-    proj_f = np.diag([0.0, 0.0, 1.0]).astype(complex)
-
     for j in (1, 2):
         i = j - 1
         if math.isfinite(noise.t1_ge[i]):
-            ops.append(math.sqrt(1.0 / noise.t1_ge[i]) * _transmon_local(g_from_e, j))
+            ops.append(math.sqrt(1.0 / noise.t1_ge[i]) * _transmon_jump(j, 0, 1))
         if math.isfinite(noise.t1_ef[i]):
-            ops.append(math.sqrt(1.0 / noise.t1_ef[i]) * _transmon_local(e_from_f, j))
+            ops.append(math.sqrt(1.0 / noise.t1_ef[i]) * _transmon_jump(j, 1, 2))
         if math.isfinite(noise.t1_up[i]):
-            ops.append(math.sqrt(1.0 / noise.t1_up[i]) * _transmon_local(e_from_g, j))
-            ops.append(math.sqrt(2.0 / noise.t1_up[i]) * _transmon_local(f_from_e, j))
+            ops.append(math.sqrt(1.0 / noise.t1_up[i]) * _transmon_jump(j, 1, 0))
+            ops.append(math.sqrt(2.0 / noise.t1_up[i]) * _transmon_jump(j, 2, 1))
         if math.isfinite(noise.t_phi[i]):
-            ops.append(math.sqrt(1.0 / noise.t_phi[i]) * _transmon_local(proj_e, j))
-            ops.append(math.sqrt(1.0 / noise.t_phi[i]) * _transmon_local(proj_f, j))
+            ops.append(math.sqrt(1.0 / noise.t_phi[i]) * _transmon_jump(j, 1, 1))
+            ops.append(math.sqrt(1.0 / noise.t_phi[i]) * _transmon_jump(j, 2, 2))
 
     for j, kappa in zip((1, 2), noise.kappa):
         if kappa <= 0:
             continue
-        a = tensor(identity(3), identity(3),
-                   destroy(2) if j == 1 else identity(2),
-                   destroy(2) if j == 2 else identity(2))
+        a = _resonator_lowering(j)
         ops.append(math.sqrt(TWOPI * kappa) * a)
         if noise.n_res > 0:
             ops.append(math.sqrt(TWOPI * kappa * noise.n_res) * a.dag())
 
     if math.isfinite(noise.t_phi_ff):
-        ops.append(math.sqrt(2.0 / noise.t_phi_ff)
-                   * _embed_qq(ket_projector(QQ_DIMS, "ff").data))
+        ops.append(math.sqrt(2.0 / noise.t_phi_ff) * _p("ff"))
     return ops

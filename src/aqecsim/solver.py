@@ -1,9 +1,14 @@
 """Lindblad master-equation propagation and rate estimates.
 
 Every call builds one sparse row-major Lindblad generator L0 of H's constant
-part, vec(A rho B) = (A kron B^T) vec(rho), and every path propagates only
-the weakly connected components of its generator's sparsity graph that
-rho0 touches; every other entry of vec(rho) stays exactly zero.
+part, vec(A rho B) = (A kron B^T) vec(rho):
+
+    L0 = J kron 1 + 1 kron J* + sum_k L_k kron L_k*,   J = -iH - (1/2) sum_k L_k^dag L_k,
+
+assembled in one pass from the nonzero entries of every Kronecker factor.
+Every path propagates only the weakly connected components of its
+generator's sparsity graph that rho0 touches; every other entry of vec(rho)
+stays exactly zero.
 
 A time-independent H (the fully rotated frame) is propagated exactly on L0.
 Blocks of at most ``DENSE_BLOCK_MAX`` states are exponentiated densely, one
@@ -22,6 +27,9 @@ H(t) = H0 + H+ e^{iwt} + H- e^{-iwt} and rho(t) = sum_n e^{inwt} sigma_n(t),
 with sigma_n(t0) = delta_n0 rho0.  Cut at |n| <= ``FLOQUET_ORDER`` this is one
 time-independent generator on 2M+1 copies of vec(rho), propagated on the same
 block-reduced exact path; the run fails if harmonics +-M are not negligible.
+The stack is built only on the base block, the states rho0 touches in the
+joint sparsity graph of L0, L+ and L-: no harmonic of any other state is
+reachable, so the propagated block is the same as on the full stack.
 
 Only H with driven terms c_k(t) O_k at several frequencies (the lab frame
 with several carriers, the static frame with two nonzero pair frequencies)
@@ -96,25 +104,38 @@ def liouvillian(h, collapse):
     return _lindblad_generator(h.constant.data, collapse)
 
 
+def _superoperator(pairs):
+    """Sparse row-major sum_k A_k kron B_k over dense n x n pairs (A_k, B_k),
+    assembled as one matrix from every pair's nonzero triplets."""
+    n = pairs[0][0].shape[0]
+    rows, cols, vals = [], [], []
+    for a, b in pairs:
+        ai, aj = np.nonzero(a)
+        bi, bj = np.nonzero(b)
+        rows.append((ai[:, None] * n + bi).ravel())
+        cols.append((aj[:, None] * n + bj).ravel())
+        vals.append(np.outer(a[ai, aj], b[bi, bj]).ravel())
+    sup = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                        shape=(n * n, n * n))
+    sup.eliminate_zeros()
+    return sup
+
+
 def _commutator(hmat):
     """Sparse row-major superoperator of rho -> -i[H, rho], for any square H."""
-    eye = sp.identity(hmat.shape[0], format="csr")
-    hs = sp.csr_matrix(hmat)
-    return -1j * (sp.kron(hs, eye) - sp.kron(eye, hs.T))
+    eye = np.eye(hmat.shape[0])
+    return _superoperator([(-1j * hmat, eye), (eye, 1j * hmat.T)])
 
 
 def _lindblad_generator(hmat, collapse):
-    """Sparse row-major Lindblad generator of a constant H matrix."""
-    gen = _commutator(hmat)
-    eye = sp.identity(hmat.shape[0], format="csr")
-    for c in collapse:
-        cs = sp.csr_matrix(c.data)
-        cdc = cs.conj().T @ cs
-        gen = gen + sp.kron(cs, cs.conj()) \
-            - 0.5 * (sp.kron(cdc, eye) + sp.kron(eye, cdc.T))
-    gen = gen.tocsr()
-    gen.eliminate_zeros()
-    return gen
+    """Sparse row-major Lindblad generator of a constant H matrix,
+    J kron 1 + 1 kron J* + sum_k L_k kron L_k*, with J = -iH - K/2 and
+    K = sum_k L_k^dag L_k."""
+    eye = np.eye(hmat.shape[0])
+    k = sum((c.data.conj().T @ c.data for c in collapse), np.zeros(hmat.shape))
+    jmat = -1j * hmat - 0.5 * k
+    return _superoperator([(jmat, eye), (eye, jmat.conj())]
+                          + [(c.data, c.data.conj()) for c in collapse])
 
 
 def _touched_block(gen, v0):
@@ -177,24 +198,29 @@ def _propagate_floquet(h, gen, v0, times):
     # cos(2 pi f t + phi) with f < 0 is cos(w t - phi): e^{iwt} carries e^{-i phi}
     h_plus = sum(0.5 * np.exp(1j * np.sign(tone.freq) * tone.phase) * op.data
                  for tone, op in h.driven)
+    s_plus, s_minus = _commutator(h_plus), _commutator(h_plus.conj().T)
+    # a component of the stack couples only states of one component of the
+    # union graph of gen, S+ and S-, so the stack needs only those v0 touches
+    base = _touched_block(abs(gen) + abs(s_plus) + abs(s_minus), v0)
+    gen, s_plus, s_minus = (g[base][:, base] for g in (gen, s_plus, s_minus))
     m = FLOQUET_ORDER
-    d2 = len(v0)
+    nb = len(base)
     gen = (sp.kron(sp.identity(2 * m + 1), gen)
-           + sp.kron(sp.diags(-1j * w * np.arange(-m, m + 1)), sp.identity(d2))
-           + sp.kron(sp.eye(2 * m + 1, k=-1), _commutator(h_plus))
-           + sp.kron(sp.eye(2 * m + 1, k=1), _commutator(h_plus.conj().T))).tocsr()
+           + sp.kron(sp.diags(-1j * w * np.arange(-m, m + 1)), sp.identity(nb))
+           + sp.kron(sp.eye(2 * m + 1, k=-1), s_plus)
+           + sp.kron(sp.eye(2 * m + 1, k=1), s_minus)).tocsr()
     gen.eliminate_zeros()
-    ext = np.zeros((2 * m + 1) * d2, dtype=complex)
-    ext[m * d2:(m + 1) * d2] = v0
+    ext = np.zeros((2 * m + 1) * nb, dtype=complex)
+    ext[m * nb:(m + 1) * nb] = v0[base]
     keep, vecs, _ = _propagate_exact(gen, ext, times)
-    harmonic, entry = np.divmod(keep, d2)
-    harmonic -= m
+    harmonic = keep // nb - m
+    entry = base[keep % nb]
     tail = float(np.max(np.abs(vecs[:, np.abs(harmonic) == m]), initial=0.0))
     if tail > FLOQUET_TAIL:
         raise SolverError(f"Floquet truncation at M={m} is unsafe for the {freq:g} MHz "
                           f"tone: harmonics +-M reach {tail:.2e} > {FLOQUET_TAIL:g}")
     # rho(t) = sum_n e^{inwt} sigma_n(t), summed one harmonic's columns at a time
-    states = np.zeros((len(times), d2), dtype=complex)
+    states = np.zeros((len(times), len(v0)), dtype=complex)
     for n in np.unique(harmonic):
         cols = harmonic == n
         states[:, entry[cols]] += np.exp(1j * n * w * times)[:, None] * vecs[:, cols]

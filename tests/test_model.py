@@ -299,3 +299,20 @@ def test_collapse_operator_rates():
     i1 = basis_index(FULL_DIMS, "gg10")
     assert a_down.data[i0, i1] == pytest.approx(math.sqrt(TWOPI * 0.5))
     assert a_up.data[i1, i0] == pytest.approx(math.sqrt(TWOPI * 0.5 * 0.1))
+
+
+def test_cached_operators_are_read_only():
+    """The label-keyed operators are shared between calls, so writing into
+    one raises, and repeated builds return equal matrices."""
+    for op in (model.transmon_number(1), model._p("gf"), model.resonator_number(2),
+               model._resonator_lowering(1), model._transmon_jump(2, 0, 1)):
+        with pytest.raises(ValueError):
+            op.data[0, 0] = 1.0
+    cfg = config.load_preset("aqec")
+    first = model.build_rotating_hamiltonian(cfg.device, cfg.drive).constant.data
+    second = model.build_rotating_hamiltonian(cfg.device, cfg.drive).constant.data
+    assert np.array_equal(first, second)
+    ops = [c.data for c in model.collapse_operators(cfg.noise)]
+    again = [c.data for c in model.collapse_operators(cfg.noise)]
+    assert len(ops) == len(again)
+    assert all(np.array_equal(a, b) for a, b in zip(ops, again))

@@ -200,6 +200,111 @@ def test_commutator_of_non_hermitian_operator():
     assert np.max(np.abs(got - (-1j * (op @ rho - rho @ op)).ravel())) <= 1e-12
 
 
+def _kron_sum_generator(hmat, collapse):
+    """The Lindblad generator summed one sparse Kronecker product at a time."""
+    eye = sp.identity(hmat.shape[0], format="csr")
+    hs = sp.csr_matrix(hmat)
+    gen = -1j * (sp.kron(hs, eye) - sp.kron(eye, hs.T))
+    for c in collapse:
+        cs = sp.csr_matrix(c.data)
+        cdc = cs.conj().T @ cs
+        gen = gen + sp.kron(cs, cs.conj()) \
+            - 0.5 * (sp.kron(cdc, eye) + sp.kron(eye, cdc.T))
+    gen = gen.tocsr()
+    gen.eliminate_zeros()
+    return gen
+
+
+def _kron_commutator(op):
+    eye = sp.identity(op.shape[0], format="csr")
+    gen = (-1j * (sp.kron(op, eye) - sp.kron(eye, op.T))).tocsr()
+    gen.eliminate_zeros()
+    return gen
+
+
+def _assert_same_superoperator(got, ref):
+    """Equal entries to 1e-14 on an identical sparsity pattern: the touched
+    blocks read the pattern, so one stray tiny entry would enlarge them."""
+    got, ref = got.tocsr(), ref.tocsr()
+    got.sort_indices()
+    ref.sort_indices()
+    assert got.shape == ref.shape
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.max(np.abs(got.data - ref.data), initial=0.0) <= 1e-14
+
+
+def test_generator_assembly_matches_kron_sum():
+    """The one-pass generator J kron 1 + 1 kron J* + sum_k L_k kron L_k*
+    equals the sequential sparse Kronecker sum entry by entry and pattern by
+    pattern, and every preset state touches the block it touched before."""
+    for arm, blocks in PRESET_BLOCKS.items():
+        _, h, collapse = _preset(arm)
+        gen = solver.liouvillian(h, collapse)
+        _assert_same_superoperator(gen, _kron_sum_generator(h.constant.data, collapse))
+        for initial, block in blocks.items():
+            v0 = model.logical_state(initial).to_density().data.ravel()
+            assert len(solver._touched_block(gen, v0)) == block
+    _, h, collapse = _preset("aqec")
+    rng = np.random.default_rng(13)
+    extra = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))
+    extra[rng.random(size=extra.shape) < 0.9] = 0.0
+    for ops in (collapse + [LabeledOperator(FULL_DIMS, 0.1 * extra)], []):
+        _assert_same_superoperator(solver.liouvillian(h, ops),
+                                   _kron_sum_generator(h.constant.data, ops))
+    _assert_same_superoperator(solver._commutator(extra), _kron_commutator(extra))
+
+
+def _full_stack_floquet(h, collapse, v0, times):
+    """Shirley-Floquet snapshots from the stack of all 2M+1 copies of the
+    1296 states, assembled from sequential Kronecker sums: the block
+    dimension, the snapshots of vec(rho) and the largest entry of
+    harmonics +-M."""
+    w = TWOPI * abs(h.driven[0][0].freq)
+    h_plus = sum(0.5 * np.exp(1j * np.sign(tone.freq) * tone.phase) * op.data
+                 for tone, op in h.driven)
+    m = solver.FLOQUET_ORDER
+    d2 = len(v0)
+    gen = (sp.kron(sp.identity(2 * m + 1), _kron_sum_generator(h.constant.data, collapse))
+           + sp.kron(sp.diags(-1j * w * np.arange(-m, m + 1)), sp.identity(d2))
+           + sp.kron(sp.eye(2 * m + 1, k=-1), _kron_commutator(h_plus))
+           + sp.kron(sp.eye(2 * m + 1, k=1), _kron_commutator(h_plus.conj().T))).tocsr()
+    gen.eliminate_zeros()
+    ext = np.zeros((2 * m + 1) * d2, dtype=complex)
+    ext[m * d2:(m + 1) * d2] = v0
+    keep, vecs, _ = solver._propagate_exact(gen, ext, times)
+    harmonic, entry = np.divmod(keep, d2)
+    harmonic -= m
+    tail = float(np.max(np.abs(vecs[:, np.abs(harmonic) == m]), initial=0.0))
+    states = np.zeros((len(times), d2), dtype=complex)
+    for n in np.unique(harmonic):
+        cols = harmonic == n
+        states[:, entry[cols]] += np.exp(1j * n * w * times)[:, None] * vecs[:, cols]
+    return len(keep), states, tail
+
+
+def test_floquet_base_block_matches_full_stack():
+    """The Floquet stack built on the base block that rho0 touches gives the
+    block, snapshots and tail of the stack on all 1296 states, for the
+    lossless qr_frequency and the lossy red_pair_center sweep of the
+    benchmark's chevron workload."""
+    cfg = config.load_preset("echo_4qq")
+    h_qr = model.build_static_hamiltonian(cfg.device, model.DriveConfig(omega_qr1=1.0),
+                                          qr_offset=0.5)
+    h_red, collapse_red = _red_sweep_hamiltonian(cfg.drive.nu_r + 0.5)
+    cases = [(h_qr, [], model.logical_state("E01"), 34, np.linspace(0.0, 6.0, 241)),
+             (h_red, collapse_red, basis_state(FULL_DIMS, "gf00"), 281,
+              np.linspace(0.0, 6.0, 121))]
+    for h, collapse, psi0, block, times in cases:
+        v0 = psi0.to_density().data.ravel()
+        states, meta = solver._propagate_floquet(
+            h, solver._lindblad_generator(h.constant.data, collapse), v0, times)
+        ref_block, ref_states, ref_tail = _full_stack_floquet(h, collapse, v0, times)
+        assert meta["block_dim"] == ref_block == block
+        assert np.max(np.abs(states - ref_states)) <= 1e-12
+        assert abs(meta["floquet_tail"] - ref_tail) <= 1e-15
+
+
 def test_rk45_matches_dop853_on_dissipative_static_frame():
     """RK45 on the aqec static frame, driven at two pair frequencies and
     with every collapse operator, equals a tight DOP853 integration of the
