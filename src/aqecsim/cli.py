@@ -206,7 +206,7 @@ def run_fit(series_path, column="coherence", skip=0.0):
         names = fh.readline().split()
     if column not in names:
         raise ConfigError(f"column {column!r} not in {names}")
-    data = np.loadtxt(series_path, skiprows=1)
+    data = np.loadtxt(series_path, skiprows=1, ndmin=2)
     fit = analysis.fit_exponential(data[:, 0], data[:, names.index(column)],
                                    skip_initial=skip)
     for key, value in fit.summary_fields().items():

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import yaml
 
-from .model import DeviceParams, DriveConfig, NoiseModel, named_state
+from .model import SWEEP_AXES, DeviceParams, DriveConfig, NoiseModel, named_state
 
 ARMS = ("free_decay", "echo_4qq", "aqec")
 INITIAL_STATES = ("L0", "L1", "Lx")
@@ -65,6 +65,8 @@ class Scenario:
             raise ConfigError("scenario.tmax_us: must be >= 0")
         if self.snapshots < 1:
             raise ConfigError("scenario.snapshots: must be >= 1")
+        if self.snapshots > 1 and self.tmax_us <= 0:
+            raise ConfigError("scenario.tmax_us: must be > 0 for several snapshots")
         if self.skip_initial_us is not None and self.skip_initial_us < 0:
             raise ConfigError("scenario.skip_initial_us: must be >= 0")
         for idx in self.tomography.snapshots if self.tomography else ():
@@ -93,10 +95,12 @@ class SweepSpec:
     initial: str = "eg00"
 
     def __post_init__(self):
-        if self.axis not in ("red_pair_center", "blue_pair_center", "qr_frequency"):
+        if self.axis not in SWEEP_AXES:
             raise ConfigError(f"sweep.axis: unknown axis {self.axis!r}")
         if self.num < 1:
             raise ConfigError("sweep.num: offset grid must be nonempty")
+        if self.tmax_us <= 0:
+            raise ConfigError("sweep.tmax_us: must be > 0")
         if self.snapshots < 2:
             raise ConfigError("sweep.snapshots: need at least 2 time samples")
         try:

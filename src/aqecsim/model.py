@@ -4,11 +4,13 @@ All frequencies are ordinary frequencies in MHz and all times in microseconds.
 The single 2*pi conversion to angular units happens here, during Hamiltonian
 and collapse-operator assembly; nothing downstream applies it again.
 
-Three frames are provided, one builder each:
+The six always-on sideband drives are written once, in :data:`DRIVES`, and
+all three frames are derived from that table, one builder each:
 
 * lab frame (:func:`build_lab_hamiltonian`) -- Duffing transmons plus
   explicitly modulated charge/flux coupling products, one carrier
-  :class:`Tone` each,
+  :class:`Tone` per drive, its carrier, amplitude and phase read off the
+  lab levels and couplings,
 * logical-static frame (:func:`build_static_hamiltonian`) -- all logical
   states at zero energy, the four two-transmon (QQ) sideband terms carry
   explicit exp(+-2*pi*i*nu*t) phases (a cosine and a sine :class:`Tone`),
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,14 +69,12 @@ class DeviceParams:
     chi_2: float = 0.0
     zz_ff1: float = 0.0
     zz_ff2: float = 0.0
-    J: tuple = ((0.0, 0.0), (0.0, 0.0))
 
     def __post_init__(self):
         if self.alpha_1 >= 0 or self.alpha_2 >= 0:
             raise ValueError("transmon anharmonicities must be negative")
         if self.omega_r1 <= self.omega_q1 or self.omega_r2 <= self.omega_q2:
             raise ValueError("resonators must sit above their transmons")
-        object.__setattr__(self, "J", tuple(tuple(float(x) for x in row) for row in self.J))
 
 
 @dataclass(frozen=True)
@@ -83,8 +84,9 @@ class DriveConfig:
     ``w_r``/``w_b`` are the red/blue QQ pair rates, ``nu_r``/``nu_b`` their
     detunings, ``omega_qr1``/``omega_qr2`` the transmon-resonator
     error-correcting sideband rates (all MHz).  ``phases`` are the four QQ
-    drive phases in radians, ordered (red |gf>, red |fg>, blue |gg>,
-    blue |ff>).
+    drive phases phi_k in radians: drive k couples (W/2) exp(i phi_k)
+    |ee><level_k| with level_k in the order gf, fg (red), gg, ff (blue),
+    identically in all three frames.
     """
 
     w_r: float = 0.0
@@ -226,15 +228,10 @@ def named_state(label):
 # The label-keyed operators are built once and cached: a LabeledOperator
 # holds a read-only array, so no caller can alter a shared one.
 
-def _embed_qq(op9):
-    """Two-qutrit operator tensored with the two-resonator identity."""
-    return tensor(LabeledOperator(QQ_DIMS, op9), identity(2), identity(2))
-
-
 @functools.cache
 def _p(label):
     """Two-transmon projector |ab><ab| x I4."""
-    return _embed_qq(ket_projector(QQ_DIMS, label).data)
+    return tensor(ket_projector(QQ_DIMS, label), identity(2), identity(2))
 
 
 @functools.cache
@@ -262,33 +259,50 @@ def _resonator_lowering(j):
                   destroy(2) if j == 2 else identity(2))
 
 
-def _qq_raising(drive):
-    """The four |ee><..| raising parts, split into the red and blue pairs."""
-    p0, p1, p2, p3 = (np.exp(1j * p) for p in drive.phases)
-    red = 0.5 * drive.w_r * (
-        p0 * ket_projector(QQ_DIMS, "ee", "gf").data
-        + p1 * ket_projector(QQ_DIMS, "ee", "fg").data
-    )
-    blue = 0.5 * drive.w_b * (
-        p2 * ket_projector(QQ_DIMS, "ee", "gg").data
-        + p3 * ket_projector(QQ_DIMS, "ee", "ff").data
-    )
-    return _embed_qq(red), _embed_qq(blue)
+#: One always-on sideband drive: it raises each (to, from) two-transmon
+#: transition at DriveConfig.<rate>/2, times exp(i phases[phase]) for a QQ
+#: drive or times a photon added to ``resonator`` for a QR drive; ``detuning``
+#: names its DriveConfig detuning field and ``axis`` its sweep axis.
+_Drive = namedtuple("_Drive", "axis rate detuning phase resonator transitions")
+
+#: The six drives, in the order every builder adds their terms.  A QR drive
+#: sits on its chi-shifted line and has no detuning or phase; its second
+#: transition is the zz-shifted L1 branch of the first, which alone sets the
+#: lab carrier.
+DRIVES = (
+    _Drive("red_pair_center", "w_r", "nu_r", 0, None, (("ee", "gf"),)),
+    _Drive("red_pair_center", "w_r", "nu_r", 1, None, (("ee", "fg"),)),
+    _Drive("blue_pair_center", "w_b", "nu_b", 2, None, (("ee", "gg"),)),
+    _Drive("blue_pair_center", "w_b", "nu_b", 3, None, (("ee", "ff"),)),
+    _Drive("qr_frequency", "omega_qr1", None, None, 1, (("fg", "eg"), ("ff", "ef"))),
+    _Drive("qr_frequency", "omega_qr2", None, None, 2, (("gf", "ge"), ("ff", "fe"))),
+)
+
+#: sweep axis -> the :func:`build_static_hamiltonian` keyword that offsets it
+SWEEP_AXES = {"red_pair_center": "red_offset", "blue_pair_center": "blue_offset",
+              "qr_frequency": "qr_offset"}
 
 
-def _qr_raising(drive):
-    """Sum of both |e0> -> |f1> error-correcting sideband raising parts."""
-    qr1 = 0.5 * drive.omega_qr1 * (
-        _resonator_lowering(1).dag().data @ _embed_qq(
-            ket_projector(QQ_DIMS, "fg", "eg").data
-            + ket_projector(QQ_DIMS, "ff", "ef").data).data
-    )
-    qr2 = 0.5 * drive.omega_qr2 * (
-        _resonator_lowering(2).dag().data @ _embed_qq(
-            ket_projector(QQ_DIMS, "gf", "ge").data
-            + ket_projector(QQ_DIMS, "ff", "fe").data).data
-    )
-    return LabeledOperator(FULL_DIMS, qr1 + qr2)
+@functools.cache
+def _drive_operator(d):
+    """Sum of a drive's |to><from| on the full space, times a_r^dag for a QR drive."""
+    op9 = sum(ket_projector(QQ_DIMS, to, frm).data for to, frm in d.transitions)
+    photon = [destroy(2).dag() if d.resonator == j else identity(2) for j in (1, 2)]
+    return tensor(LabeledOperator(QQ_DIMS, op9), *photon)
+
+
+def _raising(drive):
+    """{axis: (detuning MHz, raising part)}: the sum over the axis's drives of
+    (W/2) exp(i phi) times the drive operator."""
+    out = {}
+    for d in DRIVES:
+        coeff = 0.5 * getattr(drive, d.rate)
+        if d.phase is not None:
+            coeff = coeff * np.exp(1j * drive.phases[d.phase])
+        op = coeff * _drive_operator(d)
+        nu = getattr(drive, d.detuning) if d.detuning else 0.0
+        out[d.axis] = (nu, out[d.axis][1] + op if d.axis in out else op)
+    return out
 
 
 def _frame_diagonal(device):
@@ -322,10 +336,8 @@ def build_rotating_hamiltonian(device, drive):
     h = _frame_diagonal(device)
     h = h - drive.nu_r * (_p("gf").data + _p("fg").data + _p("ge").data + _p("eg").data)
     h = h - drive.nu_b * (_p("gg").data + _p("ff").data + _p("ef").data + _p("fe").data)
-    red, blue = _qq_raising(drive)
-    qq = red.data + blue.data
-    qr = _qr_raising(drive).data
-    h = h + qq + qq.conj().T + qr + qr.conj().T
+    for _, raising in _raising(drive).values():
+        h = h + raising.data + raising.data.conj().T
     return HamiltonianSpec(LabeledOperator(FULL_DIMS, TWOPI * h + _shifts(device)))
 
 
@@ -343,27 +355,18 @@ def build_static_hamiltonian(device, drive, *, red_offset=0.0, blue_offset=0.0,
     the red pair center, blue pair center, or both QR sideband frequencies
     away from those lines; they exist for calibration-style sweeps.
     """
-    const = _frame_diagonal(device)
-    driven = []
-    red, blue, = _qq_raising(drive)
-    qr = _qr_raising(drive)
-
-    def add_rotating(raising, freq):
+    const, driven = _frame_diagonal(device), []
+    offsets = dict(red_offset=red_offset, blue_offset=blue_offset, qr_offset=qr_offset)
+    for axis, (nu, raising) in _raising(drive).items():
         if not np.any(raising.data):  # a tone at rate 0 drives nothing
-            return
+            continue
+        freq = nu + offsets[SWEEP_AXES[axis]]
         cos_op, sin_op = _hermitian_pair(raising)
         if freq == 0.0:
-            const_terms.append(cos_op.data)
+            const = const + cos_op.data
         else:
             driven.append((Tone(freq), TWOPI * cos_op))
             driven.append((Tone(freq, -0.5 * math.pi), TWOPI * sin_op))
-
-    const_terms = []
-    add_rotating(red, drive.nu_r + red_offset)
-    add_rotating(blue, drive.nu_b + blue_offset)
-    add_rotating(qr, qr_offset)
-    for term in const_terms:
-        const = const + term
     return HamiltonianSpec(LabeledOperator(FULL_DIMS, TWOPI * const + _shifts(device)),
                            tuple(driven))
 
@@ -398,18 +401,46 @@ def _shifts(device):
     return dispersive_terms(device).data + TWOPI * frame
 
 
-def _qq_tones(device, drive, scale):
-    """(amplitude MHz, carrier MHz, phase) of the four lab-frame QQ flux tones."""
-    s2 = math.sqrt(2.0)
-    wq1 = scale * device.omega_q1
-    wq2 = scale * device.omega_q2
-    a1, a2 = device.alpha_1, device.alpha_2
-    return [
-        (drive.w_r / s2, wq2 - wq1 - a1 - drive.nu_r, drive.phases[0]),
-        (drive.w_r / s2, wq2 - wq1 + a2 + drive.nu_r, drive.phases[1]),
-        (drive.w_b, wq1 + wq2 - drive.nu_b, drive.phases[2]),
-        (drive.w_b / 2.0, wq1 + wq2 + a1 + a2 + drive.nu_b, drive.phases[3]),
-    ]
+def _lab_frame(device, drive, scale):
+    """Lab constant H (MHz) and (drive, amplitude MHz, Tone, 2*pi*X) for each
+    drive of :data:`DRIVES` with a nonzero rate.
+
+    X is the coupling product the drive modulates (x1 x2, x1 xr1 or x2 xr2).
+    The carrier is the lab gap of the first transition minus the detuning (it
+    may be negative), the amplitude the rate over |<to|X|from>| and the phase
+    -phi, so the near-resonant part is (rate/2) exp(i phi) |to><from| in the
+    frame of the constant H, as in both rotating frames.
+    """
+    if not 0.0 < scale <= 1.0:
+        raise ValueError("scale must lie in (0, 1]")
+    aq1 = tensor(destroy(3), identity(3), identity(2), identity(2))
+    aq2 = tensor(identity(3), destroy(3), identity(2), identity(2))
+
+    def duffing(aq, alpha):
+        ad = aq.dag().data
+        return 0.5 * alpha * (ad @ ad @ aq.data @ aq.data)
+
+    const = (scale * device.omega_q1 * transmon_number(1).data
+             + scale * device.omega_q2 * transmon_number(2).data
+             + duffing(aq1, device.alpha_1) + duffing(aq2, device.alpha_2)
+             + scale * device.omega_r1 * resonator_number(1).data
+             + scale * device.omega_r2 * resonator_number(2).data)
+    x1, x2, xr1, xr2 = (a.data + a.dag().data for a in
+                        (aq1, aq2, _resonator_lowering(1), _resonator_lowering(2)))
+    couplings = {None: x1 @ x2, 1: x1 @ xr1, 2: x2 @ xr2}
+
+    tones = []
+    for d in (d for d in DRIVES if getattr(drive, d.rate) > 0):
+        to, frm = d.transitions[0]
+        i = basis_index(FULL_DIMS, to + {None: "00", 1: "10", 2: "01"}[d.resonator])
+        j = basis_index(FULL_DIMS, frm + "00")
+        carrier = float((const[i, i] - const[j, j]).real)
+        carrier -= getattr(drive, d.detuning) if d.detuning else 0.0
+        phase = -drive.phases[d.phase] if d.phase is not None else 0.0
+        x = couplings[d.resonator]
+        tones.append((d, getattr(drive, d.rate) / abs(x[i, j]), Tone(carrier, phase),
+                      LabeledOperator(FULL_DIMS, TWOPI * x)))
+    return const, tones
 
 
 def build_lab_hamiltonian(device, drive, scale=1.0):
@@ -419,47 +450,15 @@ def build_lab_hamiltonian(device, drive, scale=1.0):
     carriers follow) so the fast oscillations become tractable at desk scale;
     detunings, rates and anharmonicities are untouched.
     """
-    if not 0.0 < scale <= 1.0:
-        raise ValueError("scale must lie in (0, 1]")
-    wq1 = scale * device.omega_q1
-    wq2 = scale * device.omega_q2
-    wr1 = scale * device.omega_r1
-    wr2 = scale * device.omega_r2
-    a1, a2 = device.alpha_1, device.alpha_2
-
-    aq1 = tensor(destroy(3), identity(3), identity(2), identity(2))
-    aq2 = tensor(identity(3), destroy(3), identity(2), identity(2))
-    ar1, ar2 = _resonator_lowering(1), _resonator_lowering(2)
-
-    def duffing(aq, alpha):
-        ad = aq.dag().data
-        return 0.5 * alpha * (ad @ ad @ aq.data @ aq.data)
-
-    const = (wq1 * transmon_number(1).data + wq2 * transmon_number(2).data
-             + duffing(aq1, a1) + duffing(aq2, a2)
-             + wr1 * resonator_number(1).data + wr2 * resonator_number(2).data)
-
-    x1 = aq1.data + aq1.dag().data
-    x2 = aq2.data + aq2.dag().data
-    xr1 = ar1.data + ar1.dag().data
-    xr2 = ar2.data + ar2.dag().data
-    o_qq = LabeledOperator(FULL_DIMS, TWOPI * (x1 @ x2))
-    o_qr1 = LabeledOperator(FULL_DIMS, TWOPI * (x1 @ xr1))
-    o_qr2 = LabeledOperator(FULL_DIMS, TWOPI * (x2 @ xr2))
-
-    s2 = math.sqrt(2.0)
-    driven = [(Tone(f, ph), amp * o_qq)
-              for amp, f, ph in _qq_tones(device, drive, scale) if amp > 0]
-    if drive.omega_qr1 > 0:
-        driven.append((Tone(wq1 + wr1 + a1), drive.omega_qr1 / s2 * o_qr1))
-    if drive.omega_qr2 > 0:
-        driven.append((Tone(wq2 + wr2 + a2), drive.omega_qr2 / s2 * o_qr2))
-    return HamiltonianSpec(LabeledOperator(FULL_DIMS, TWOPI * const), tuple(driven))
+    const, tones = _lab_frame(device, drive, scale)
+    driven = tuple((tone, amp * op) for _, amp, tone, op in tones)
+    return HamiltonianSpec(LabeledOperator(FULL_DIMS, TWOPI * const), driven)
 
 
 def qq_drive_amplitude(device, drive, t, scale=1.0):
-    """Lab-frame flux-drive waveform A_QQ(t) in MHz (sum of the four tones)."""
-    return sum(amp * Tone(f, ph)(t) for amp, f, ph in _qq_tones(device, drive, scale))
+    """Lab-frame flux-drive waveform A_QQ(t) in MHz (sum of the four QQ tones)."""
+    _, tones = _lab_frame(device, drive, scale)
+    return sum(amp * tone(t) for d, amp, tone, _ in tones if d.resonator is None)
 
 
 # ---------------------------------------------------------------------------

@@ -370,19 +370,14 @@ class ChevronMap:
                        delimiter="\t", comments="")
 
 
-_SWEEP_AXES = ("red_pair_center", "blue_pair_center", "qr_frequency")
-
-
 def _sweep_one(args):
     device, drive, axis, offset, times, rho0_data, dims, collapse = args
-    kwargs = {"red_pair_center": "red_offset", "blue_pair_center": "blue_offset",
-              "qr_frequency": "qr_offset"}[axis]
-    h = model.build_static_hamiltonian(device, drive, **{kwargs: offset})
+    h = model.build_static_hamiltonian(device, drive,
+                                       **{model.SWEEP_AXES[axis]: offset})
     rho0 = DensityMatrix(dims, rho0_data)
     traj = evolve(h, collapse, rho0, times, validate=False)
-    n1 = observable_series(traj, [model.transmon_number(1)])[:, 0]
-    n2 = observable_series(traj, [model.transmon_number(2)])[:, 0]
-    return n1, n2
+    nq = observable_series(traj, [model.transmon_number(1), model.transmon_number(2)])
+    return nq[:, 0], nq[:, 1]
 
 
 def sweep_chevron(device, drive, axis, offsets, times, rho0, collapse=(), workers=1):
@@ -392,8 +387,8 @@ def sweep_chevron(device, drive, axis, offsets, times, rho0, collapse=(), worker
     blue QQ pair center, or both QR sidebands.  Trajectories over the offset
     grid are independent and can run in parallel (``workers`` > 1).
     """
-    if axis not in _SWEEP_AXES:
-        raise ValueError(f"axis must be one of {_SWEEP_AXES}")
+    if axis not in model.SWEEP_AXES:
+        raise ValueError(f"axis must be one of {tuple(model.SWEEP_AXES)}")
     offsets = np.asarray(offsets, dtype=float)
     if offsets.size == 0:
         raise ValueError("offset grid must be nonempty")

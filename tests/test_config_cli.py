@@ -67,6 +67,12 @@ def test_unknown_keys_are_hard_errors(tmp_path):
         config.load_config(_write(tmp_path, bad_key))
     with pytest.raises(config.ConfigError, match="missing required"):
         config.load_config(_write(tmp_path, "drive: {}\nnoise: {}\n"))
+    # no builder reads an inter-transmon coupling table, so none is accepted
+    coupling = _write(tmp_path, FAST_SCENARIO.replace(
+        "omega_r2: 5450.5", "omega_r2: 5450.5\n  J: [[0, 1], [1, 0]]"))
+    with pytest.raises(config.ConfigError, match="unknown keys"):
+        config.load_config(coupling)
+    assert cli.main(["run", str(coupling), "--outdir", str(tmp_path)]) == 2
 
 
 def test_arm_drive_requirements(tmp_path):
@@ -90,6 +96,17 @@ def test_scenario_validation():
                          tmax_us=1.0, snapshots=5)
     with pytest.raises(config.ConfigError):
         config.TomographySettings(shots=0)
+    # a grid of several snapshots needs a positive duration; one snapshot
+    # at t = 0 is a valid zero-length run
+    with pytest.raises(config.ConfigError, match="scenario.tmax_us"):
+        config.Scenario(name="x", arm="free_decay", initial="L0",
+                        tmax_us=0.0, snapshots=5)
+    config.Scenario(name="x", arm="free_decay", initial="L0", tmax_us=0.0,
+                    snapshots=1)
+    for tmax in (0.0, -1.0):
+        with pytest.raises(config.ConfigError, match="sweep.tmax_us"):
+            config.SweepSpec(axis="qr_frequency", start=0, stop=1, num=3,
+                             tmax_us=tmax, snapshots=5)
 
 
 def test_tomography_snapshot_indices_must_be_on_the_grid(tmp_path, capsys):
@@ -129,6 +146,12 @@ sweep:
             config.load_config(path)
         assert cli.main(["sweep", str(path), "--outdir", str(tmp_path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"] == "config"
+    for tmax in ("0.0", "-1.0"):
+        path = _write(tmp_path, text.replace("INITIAL", "E01")
+                      .replace("tmax_us: 1.0", f"tmax_us: {tmax}"))
+        assert cli.main(["sweep", str(path), "--outdir", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and "sweep.tmax_us" in err["message"]
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +265,16 @@ def test_main_error_exit_codes(tmp_path, capsys):
     err = capsys.readouterr().err
     assert json.loads(err)["error"] == "config"
     assert cli.main(["fit", str(tmp_path / "missing.tsv")]) in (1, 2)
+    capsys.readouterr()
+    # several snapshots over zero duration: a config error naming the field
+    flat = _write(tmp_path, FAST_SCENARIO.replace("tmax_us: 4.0", "tmax_us: 0"))
+    assert cli.main(["run", str(flat), "--outdir", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and "scenario.tmax_us" in err["message"]
+    # a series with one data row is too short to fit: exit 1 with a record
+    one_row = _write(tmp_path, "time_us\tcoherence\n0.0\t1.0\n", "one_row.tsv")
+    assert cli.main(["fit", str(one_row)]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
 def test_main_sweep_verb(tmp_path):

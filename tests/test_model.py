@@ -8,6 +8,7 @@ import pytest
 from aqecsim import analysis, config, model, solver
 from aqecsim.operators import (
     FULL_DIMS,
+    QQ_DIMS,
     LabeledOperator,
     basis_index,
     basis_state,
@@ -160,6 +161,69 @@ def test_drive_phases_enter_coupling_elements(device):
     assert val == pytest.approx(0.5j)
 
 
+def _written_out_raising(drive):
+    """The red, blue and QR raising parts written out drive by drive, as a
+    reference for the construction from the drive table."""
+    def k(to, frm):
+        return ket_projector(QQ_DIMS, to, frm).data
+    p0, p1, p2, p3 = (np.exp(1j * p) for p in drive.phases)
+    red = 0.5 * drive.w_r * (p0 * k("ee", "gf") + p1 * k("ee", "fg"))
+    blue = 0.5 * drive.w_b * (p2 * k("ee", "gg") + p3 * k("ee", "ff"))
+    qr1 = 0.5 * drive.omega_qr1 * (model._resonator_lowering(1).dag().data
+                                   @ np.kron(k("fg", "eg") + k("ff", "ef"), np.eye(4)))
+    qr2 = 0.5 * drive.omega_qr2 * (model._resonator_lowering(2).dag().data
+                                   @ np.kron(k("gf", "ge") + k("ff", "fe"), np.eye(4)))
+    return np.kron(red, np.eye(4)), np.kron(blue, np.eye(4)), qr1 + qr2
+
+
+def _table_cases():
+    cases = []
+    for name in ("free_decay", "echo_4qq", "aqec"):
+        cfg = config.load_preset(name)
+        cases.append((cfg.device, cfg.drive))
+    phased = model.DriveConfig(w_r=1.45, w_b=1.25, nu_r=0.8, nu_b=-0.9, omega_qr1=0.39,
+                               omega_qr2=0.31, phases=(0.3, -1.1, 2.5, 1.9))
+    cases.append((cases[-1][0], phased))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_drive_table_builds_written_out_hamiltonians(case):
+    """Both rotating frames read their drives from model.DRIVES; the result
+    equals the drive-by-drive construction entry for entry."""
+    device, drive = _table_cases()[case]
+    red, blue, qr = _written_out_raising(drive)
+    p = model._p
+    h = model._frame_diagonal(device)
+    h = h - drive.nu_r * (p("gf").data + p("fg").data + p("ge").data + p("eg").data)
+    h = h - drive.nu_b * (p("gg").data + p("ff").data + p("ef").data + p("fe").data)
+    qq = red + blue
+    h = h + qq + qq.conj().T + qr + qr.conj().T
+    rot = model.build_rotating_hamiltonian(device, drive)
+    assert np.array_equal(rot.constant.data, TWOPI * h + model._shifts(device))
+
+    for keyword in ("red_offset", "blue_offset", "qr_offset"):
+        offset = {"red_offset": 0.0, "blue_offset": 0.0, "qr_offset": 0.0, keyword: 0.3}
+        const, driven = model._frame_diagonal(device), []
+        for raising, freq in ((red, drive.nu_r + offset["red_offset"]),
+                              (blue, drive.nu_b + offset["blue_offset"]),
+                              (qr, offset["qr_offset"])):
+            if not np.any(raising):
+                continue
+            cos_op = raising + raising.conj().T
+            sin_op = 1j * (raising - raising.conj().T)
+            if freq == 0.0:
+                const = const + cos_op
+            else:
+                driven += [(model.Tone(freq), TWOPI * cos_op),
+                           (model.Tone(freq, -0.5 * math.pi), TWOPI * sin_op)]
+        stat = model.build_static_hamiltonian(device, drive, **{keyword: 0.3})
+        assert np.array_equal(stat.constant.data, TWOPI * const + model._shifts(device))
+        assert [tone for tone, _ in stat.driven] == [tone for tone, _ in driven]
+        assert all(np.array_equal(got.data, want)
+                   for (_, got), (_, want) in zip(stat.driven, driven))
+
+
 def test_dispersive_terms_elements(device_with_shifts):
     d = model.dispersive_terms(device_with_shifts).data
     def diag(label):
@@ -259,6 +323,23 @@ def test_lab_frame_resonant_sideband_rabi(device):
     assert fringe == pytest.approx(1.0, rel=0.1)
 
 
+def test_lab_frame_drive_phases_match_rotating_frame(device):
+    """The lab tones couple (W/2) exp(i phi_k) |ee><level_k| as the rotating
+    frame does, whichever side of |ee> the level lies: with phases pi/2 on
+    both red drives, L0 stays dark in both frames."""
+    drive = model.DriveConfig(w_r=1.0, phases=(math.pi / 2.0, math.pi / 2.0, 0.0, 0.0))
+    rho0 = model.logical_state("L0").to_density()
+    times = np.linspace(0.0, 1.0, 41)
+    p_ee = ket_projector(FULL_DIMS, "ee00")
+    worst = {}
+    for frame, h in (("rotating", model.build_rotating_hamiltonian(device, drive)),
+                     ("lab", model.build_lab_hamiltonian(device, drive, scale=0.2))):
+        traj = solver.evolve(h, [], rho0, times)
+        worst[frame] = solver.observable_series(traj, [p_ee])[:, 0].max()
+    assert worst["rotating"] <= 1e-9
+    assert worst["lab"] <= 1e-2
+
+
 def test_lab_frame_scale_validation(device, full_drive):
     with pytest.raises(ValueError):
         model.build_lab_hamiltonian(device, full_drive, scale=0.0)
@@ -305,7 +386,8 @@ def test_cached_operators_are_read_only():
     """The label-keyed operators are shared between calls, so writing into
     one raises, and repeated builds return equal matrices."""
     for op in (model.transmon_number(1), model._p("gf"), model.resonator_number(2),
-               model._resonator_lowering(1), model._transmon_jump(2, 0, 1)):
+               model._resonator_lowering(1), model._transmon_jump(2, 0, 1),
+               model._drive_operator(model.DRIVES[4])):
         with pytest.raises(ValueError):
             op.data[0, 0] = 1.0
     cfg = config.load_preset("aqec")
