@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from importlib import resources
+from numbers import Integral
 from pathlib import Path
 
 import yaml
@@ -27,6 +28,15 @@ class ConfigError(ValueError):
     """Configuration validation failure, with a field-level message."""
 
 
+def _check_int(name, value, minimum=None):
+    """Reject a bool, a float or anything else that is not an integer (of at
+    least ``minimum``, if given), naming the field."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"{name}: must be >= {minimum}, got {value}")
+
+
 @dataclass(frozen=True)
 class TomographySettings:
     """Per-snapshot tomography request inside a scenario."""
@@ -37,9 +47,11 @@ class TomographySettings:
     snapshots: tuple = (0, -1)
 
     def __post_init__(self):
-        if self.shots <= 0:
-            raise ConfigError("scenario.tomography.shots: must be positive")
-        object.__setattr__(self, "snapshots", tuple(int(i) for i in self.snapshots))
+        _check_int("scenario.tomography.shots", self.shots, 1)
+        _check_int("scenario.tomography.seed", self.seed, 0)
+        object.__setattr__(self, "snapshots", tuple(self.snapshots))
+        for idx in self.snapshots:
+            _check_int("scenario.tomography.snapshots", idx)
 
 
 @dataclass(frozen=True)
@@ -63,10 +75,10 @@ class Scenario:
                 f"scenario.initial: {self.initial!r} is not one of {INITIAL_STATES}")
         if self.tmax_us < 0:
             raise ConfigError("scenario.tmax_us: must be >= 0")
-        if self.snapshots < 1:
-            raise ConfigError("scenario.snapshots: must be >= 1")
-        if self.snapshots > 1 and self.tmax_us <= 0:
-            raise ConfigError("scenario.tmax_us: must be > 0 for several snapshots")
+        _check_int("scenario.snapshots", self.snapshots, 1)
+        if (self.snapshots > 1) != (self.tmax_us > 0):
+            raise ConfigError("scenario.tmax_us: must be > 0 for several snapshots "
+                              "and 0 for one, which is the initial state")
         if self.skip_initial_us is not None and self.skip_initial_us < 0:
             raise ConfigError("scenario.skip_initial_us: must be >= 0")
         for idx in self.tomography.snapshots if self.tomography else ():
@@ -97,12 +109,11 @@ class SweepSpec:
     def __post_init__(self):
         if self.axis not in SWEEP_AXES:
             raise ConfigError(f"sweep.axis: unknown axis {self.axis!r}")
-        if self.num < 1:
-            raise ConfigError("sweep.num: offset grid must be nonempty")
+        _check_int("sweep.num", self.num, 1)
         if self.tmax_us <= 0:
             raise ConfigError("sweep.tmax_us: must be > 0")
-        if self.snapshots < 2:
-            raise ConfigError("sweep.snapshots: need at least 2 time samples")
+        # the fringe estimate needs at least 4 samples per offset
+        _check_int("sweep.snapshots", self.snapshots, 4)
         try:
             named_state(self.initial)
         except ValueError as exc:

@@ -5,16 +5,20 @@ part, vec(A rho B) = (A kron B^T) vec(rho):
 
     L0 = J kron 1 + 1 kron J* + sum_k L_k kron L_k*,   J = -iH - (1/2) sum_k L_k^dag L_k,
 
-assembled in one pass from the nonzero entries of every Kronecker factor.
-Every path propagates only the weakly connected components of its
-generator's sparsity graph that rho0 touches; every other entry of vec(rho)
-stays exactly zero.
+assembled in one pass from the nonzero entries of every Kronecker factor,
+and one superoperator S_k of -i[O_k, .] per driven term c_k(t) O_k.
+``evolve`` restricts L0 and every S_k once to the block of vec(rho) that
+rho0 touches, the weakly connected components of the joint sparsity graph
+of L0 and the S_k that hold a nonzero entry of rho0, hands that block to one
+of three propagators, and scatters their block snapshots back once; every
+other entry of vec(rho) stays exactly zero.
 
 A time-independent H (the fully rotated frame) is propagated exactly on L0.
 Blocks of at most ``DENSE_BLOCK_MAX`` states are exponentiated densely, one
-``expm`` per distinct snapshot step, and the snapshots are advanced with
-matrix-vector products.  Larger blocks go through ``expm_multiply``
-(Al-Mohy & Higham), which never forms a dense propagator.
+``expm`` for a uniform snapshot grid or one per step otherwise, and the
+snapshots are advanced with matrix-vector products.  Larger blocks go
+through ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+(2011)), which never forms a dense propagator.
 
 An H whose driven terms all share one frequency w (a single tone, or the
 static frame with one nonzero pair frequency) is propagated exactly too, by
@@ -24,18 +28,17 @@ H(t) = H0 + H+ e^{iwt} + H- e^{-iwt} and rho(t) = sum_n e^{inwt} sigma_n(t),
 
     sigma_n' = (L0 - inw) sigma_n + L+ sigma_{n-1} + L- sigma_{n+1},
 
-with sigma_n(t0) = delta_n0 rho0.  Cut at |n| <= ``FLOQUET_ORDER`` this is one
-time-independent generator on 2M+1 copies of vec(rho), propagated on the same
-block-reduced exact path; the run fails if harmonics +-M are not negligible.
-The stack is built only on the base block, the states rho0 touches in the
-joint sparsity graph of L0, L+ and L-: no harmonic of any other state is
-reachable, so the propagated block is the same as on the full stack.
+with sigma_n(t0) = delta_n0 rho0 and L+- = sum_k (1/2) e^{+-i sign(f_k) phi_k} S_k
+over the tones cos(2 pi f_k t + phi_k), |f_k| = w / 2pi.  Cut at |n| <= ``FLOQUET_ORDER`` this is one
+time-independent generator on 2M+1 copies of the block, whose components
+are finer than the block's, so it is pruned once more to those rho0 touches
+and propagated on the exact path; the run fails if harmonics +-M are not
+negligible.
 
-Only H with driven terms c_k(t) O_k at several frequencies (the lab frame
-with several carriers, the static frame with two nonzero pair frequencies)
-is integrated with adaptive embedded Runge-Kutta 4(5) (scipy ``solve_ivp``):
-dv/dt = (L0 + sum_k c_k(t) S_k) v, S_k the superoperator of -i[O_k, .], on
-the block of the joint sparsity pattern, evaluating every c_k at every
+Only H with driven terms at several frequencies (the lab frame with several
+carriers, the static frame with two nonzero pair frequencies) is integrated
+with adaptive embedded Runge-Kutta 4(5) (scipy ``solve_ivp``):
+dv/dt = (L0 + sum_k c_k(t) S_k) v on the block, evaluating every c_k at every
 internal stage.
 """
 
@@ -145,82 +148,61 @@ def _touched_block(gen, v0):
     return np.flatnonzero(np.isin(label, label[v0 != 0]))
 
 
-def _step_groups(steps):
-    """The distinct steps (to ``STEP_RTOL``) and the group of every step."""
-    distinct, group = [], []
-    for dt in steps:
-        for i, ref in enumerate(distinct):
-            if abs(dt - ref) <= STEP_RTOL * ref:
-                group.append(i)
-                break
-        else:
-            group.append(len(distinct))
-            distinct.append(dt)
-    return distinct, group
-
-
 def _propagate_exact(gen, v0, times):
-    """Exact snapshots of dv/dt = gen v on the block v0 touches.
+    """Exact snapshots of dv/dt = gen v and the method used.
 
-    Returns the block's indices into v, the (nt, block) snapshots on it and
-    the method used.
+    A grid is uniform when every step equals the first to ``STEP_RTOL``; it
+    takes one propagator, otherwise every step takes its own.
     """
-    keep = _touched_block(gen, v0)
-    block = gen[keep][:, keep]
     steps = np.diff(times)
-    distinct, group = _step_groups(steps)
-    vecs = np.empty((len(times), len(keep)), dtype=complex)
-    vecs[0] = v0[keep]
-    if len(keep) <= DENSE_BLOCK_MAX:
-        method = "expm"
-        dense = block.toarray()
-        props = [expm(dense * dt) for dt in distinct]
-        for k, g in enumerate(group):
-            vecs[k + 1] = props[g] @ vecs[k]
+    uniform = np.all(np.abs(steps - steps[:1]) <= STEP_RTOL * steps[:1])
+    vecs = np.empty((len(times), len(v0)), dtype=complex)
+    vecs[0] = v0
+    if len(v0) <= DENSE_BLOCK_MAX:
+        dense = gen.toarray()
+        props = [expm(dense * dt) for dt in (steps[:1] if uniform else steps)]
+        for k in range(len(steps)):
+            vecs[k + 1] = props[0 if uniform else k] @ vecs[k]
+        return vecs, "expm"
+    if uniform and len(steps):
+        vecs[:] = expm_multiply(gen, v0, start=0.0, stop=times[-1] - times[0],
+                                num=len(times), endpoint=True)
     else:
-        method = "expm_multiply"
-        if len(distinct) == 1:
-            vecs[:] = expm_multiply(block, vecs[0], start=0.0, stop=times[-1] - times[0],
-                                    num=len(times), endpoint=True)
-        else:
-            for k, dt in enumerate(steps):
-                vecs[k + 1] = expm_multiply(block * dt, vecs[k])
-    return keep, vecs, method
+        for k, dt in enumerate(steps):
+            vecs[k + 1] = expm_multiply(gen * dt, vecs[k])
+    return vecs, "expm_multiply"
 
 
-def _propagate_floquet(h, gen, v0, times):
-    """Exact snapshots of vec(rho) under an H whose driven terms all share one
-    |frequency|, by the truncated Shirley-Floquet generator (module docstring)
-    built on the Lindblad generator ``gen`` of H's constant part.
-    """
-    freq = abs(h.driven[0][0].freq)
+def _propagate_floquet(tones, gen, sups, v0, times):
+    """Exact snapshots of dv/dt = (gen + sum_k c_k(t) S_k) v for tones c_k
+    that all share one |frequency|, by the truncated Shirley-Floquet
+    generator (module docstring)."""
+    freq = abs(tones[0].freq)
     w = 2.0 * math.pi * freq
     # cos(2 pi f t + phi) with f < 0 is cos(w t - phi): e^{iwt} carries e^{-i phi}
-    h_plus = sum(0.5 * np.exp(1j * np.sign(tone.freq) * tone.phase) * op.data
-                 for tone, op in h.driven)
-    s_plus, s_minus = _commutator(h_plus), _commutator(h_plus.conj().T)
-    # a component of the stack couples only states of one component of the
-    # union graph of gen, S+ and S-, so the stack needs only those v0 touches
-    base = _touched_block(abs(gen) + abs(s_plus) + abs(s_minus), v0)
-    gen, s_plus, s_minus = (g[base][:, base] for g in (gen, s_plus, s_minus))
+    coefs = [0.5 * np.exp(1j * np.sign(tone.freq) * tone.phase) for tone in tones]
+    s_plus = sum(c * s for c, s in zip(coefs, sups))
+    s_minus = sum(np.conj(c) * s for c, s in zip(coefs, sups))
     m = FLOQUET_ORDER
-    nb = len(base)
-    gen = (sp.kron(sp.identity(2 * m + 1), gen)
-           + sp.kron(sp.diags(-1j * w * np.arange(-m, m + 1)), sp.identity(nb))
-           + sp.kron(sp.eye(2 * m + 1, k=-1), s_plus)
-           + sp.kron(sp.eye(2 * m + 1, k=1), s_minus)).tocsr()
-    gen.eliminate_zeros()
+    nb = len(v0)
+    stack = (sp.kron(sp.identity(2 * m + 1), gen)
+             + sp.kron(sp.diags(-1j * w * np.arange(-m, m + 1)), sp.identity(nb))
+             + sp.kron(sp.eye(2 * m + 1, k=-1), s_plus)
+             + sp.kron(sp.eye(2 * m + 1, k=1), s_minus)).tocsr()
+    stack.eliminate_zeros()
     ext = np.zeros((2 * m + 1) * nb, dtype=complex)
-    ext[m * nb:(m + 1) * nb] = v0[base]
-    keep, vecs, _ = _propagate_exact(gen, ext, times)
-    harmonic = keep // nb - m
-    entry = base[keep % nb]
+    ext[m * nb:(m + 1) * nb] = v0
+    # the stack's components are finer than the block's: prune them too
+    keep = _touched_block(stack, ext)
+    vecs, _ = _propagate_exact(stack[keep][:, keep], ext[keep], times)
+    harmonic, entry = np.divmod(keep, nb)
+    harmonic -= m
     tail = float(np.max(np.abs(vecs[:, np.abs(harmonic) == m]), initial=0.0))
     if tail > FLOQUET_TAIL:
         raise SolverError(f"Floquet truncation at M={m} is unsafe for the {freq:g} MHz "
                           f"tone: harmonics +-M reach {tail:.2e} > {FLOQUET_TAIL:g}")
     # rho(t) = sum_n e^{inwt} sigma_n(t), summed one harmonic's columns at a time
-    states = np.zeros((len(times), len(v0)), dtype=complex)
+    states = np.zeros((len(times), nb), dtype=complex)
     for n in np.unique(harmonic):
         cols = harmonic == n
         states[:, entry[cols]] += np.exp(1j * n * w * times)[:, None] * vecs[:, cols]
@@ -229,44 +211,38 @@ def _propagate_floquet(h, gen, v0, times):
     return states, meta
 
 
-def _integrate_rk45(h, gen, v0, times):
-    """Adaptive RK45 snapshots, not renormalized, of dv/dt = (gen + sum_k
-    c_k(t) _commutator(O_k)) v over H's driven terms c_k(t) O_k, on the block
-    v0 touches in the joint sparsity pattern."""
-    sups = [_commutator(op.data) for _, op in h.driven]
-    keep = _touched_block(sum((abs(s) for s in sups), abs(gen)), v0)
-    block = gen[keep][:, keep]
-    driven = [(tone, s[keep][:, keep]) for (tone, _), s in zip(h.driven, sups)]
+def _integrate_rk45(tones, gen, sups, v0, times):
+    """Adaptive RK45 snapshots, not renormalized, of
+    dv/dt = (gen + sum_k c_k(t) S_k) v over the tones c_k."""
 
     def rhs(t, v):
-        out = block @ v
-        for tone, s in driven:
+        out = gen @ v
+        for tone, s in zip(tones, sups):
             out += tone(t) * (s @ v)
         return out
 
-    states = np.zeros((len(times), len(v0)), dtype=complex)
-    states[0, keep] = v0[keep]
-    meta = {"method": "rk45", "block_dim": len(keep), "nfev": 0}
+    meta = {"method": "rk45", "block_dim": len(v0), "nfev": 0}
     if len(times) == 1:
-        return states, meta
-    sol = solve_ivp(rhs, (times[0], times[-1]), v0[keep], t_eval=times, method="RK45",
+        return v0[None, :], meta
+    sol = solve_ivp(rhs, (times[0], times[-1]), v0, t_eval=times, method="RK45",
                     rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, max_step=DEFAULT_MAX_STEP)
     if not sol.success:
         raise SolverError(f"integration failed near t={sol.t[-1] if len(sol.t) else times[0]:.4f} us: "
                           f"{sol.message}")
-    states[:, keep] = sol.y.T
-    meta["nfev"] = int(sol.nfev)
-    return states, meta
+    return sol.y.T, {**meta, "nfev": int(sol.nfev)}
 
 
 def evolve(h, collapse, rho0, times, validate=True):
     """Propagate drho/dt = -i[H(t), rho] + sum_k D[L_k] rho.
 
     ``times`` is the strictly increasing snapshot grid (us); the first entry is
-    the initial time.  One sparse Lindblad generator of H's constant part is
-    built per call and shared by the three paths (module docstring): exact
-    for a time-independent H, Shirley-Floquet for an H whose driven terms all
-    share one |frequency|, RK45 for an H driven at several frequencies.
+    the initial time.  Each call builds one sparse Lindblad generator of H's
+    constant part and one commutator superoperator per driven term, restricts
+    them to the block of vec(rho) that rho0 touches, and hands that block to
+    one of three paths (module docstring): exact for a time-independent H,
+    Shirley-Floquet for an H whose driven terms all share one |frequency|,
+    RK45 for an H driven at several frequencies.  Entries outside the block
+    stay exactly zero.
     Snapshots are renormalized in trace when the drift is below 1e-6,
     otherwise the run errors out.  ``meta`` records the ``method``
     (``"expm"``, ``"expm_multiply"``, ``"floquet"`` or ``"rk45"``), the
@@ -289,16 +265,20 @@ def evolve(h, collapse, rho0, times, validate=True):
 
     v0 = rho0.data.astype(complex).ravel()
     gen = _lindblad_generator(h.constant.data, collapse)
-    freqs = {abs(tone.freq) for tone, _ in h.driven}
+    tones = [tone for tone, _ in h.driven]
+    sups = [_commutator(op.data) for _, op in h.driven]
+    keep = _touched_block(sum((abs(s) for s in sups), abs(gen)), v0)
+    gen, sups, v0 = gen[keep][:, keep], [s[keep][:, keep] for s in sups], v0[keep]
+    freqs = {abs(tone.freq) for tone in tones}
     if not freqs:
-        keep, vecs, method = _propagate_exact(gen, v0, times)
-        states = np.zeros((len(times), len(v0)), dtype=complex)
-        states[:, keep] = vecs
+        vecs, method = _propagate_exact(gen, v0, times)
         meta = {"method": method, "block_dim": len(keep), "nfev": 0}
     elif len(freqs) == 1 and 0.0 not in freqs:
-        states, meta = _propagate_floquet(h, gen, v0, times)
+        vecs, meta = _propagate_floquet(tones, gen, sups, v0, times)
     else:
-        states, meta = _integrate_rk45(h, gen, v0, times)
+        vecs, meta = _integrate_rk45(tones, gen, sups, v0, times)
+    states = np.zeros((len(times), rho0.dim ** 2), dtype=complex)
+    states[:, keep] = vecs
     states = states.reshape(len(times), rho0.dim, rho0.dim)
 
     traces = np.einsum("tii->t", states).real

@@ -107,6 +107,35 @@ def test_scenario_validation():
         with pytest.raises(config.ConfigError, match="sweep.tmax_us"):
             config.SweepSpec(axis="qr_frequency", start=0, stop=1, num=3,
                              tmax_us=tmax, snapshots=5)
+    # one snapshot is the initial state alone, so it needs zero duration
+    with pytest.raises(config.ConfigError, match="scenario.tmax_us"):
+        config.Scenario(name="x", arm="free_decay", initial="L0", tmax_us=27.0,
+                        snapshots=1)
+    # the fringe estimate needs at least 4 samples per offset
+    with pytest.raises(config.ConfigError, match="sweep.snapshots"):
+        config.SweepSpec(axis="qr_frequency", start=0, stop=1, num=3,
+                         tmax_us=1.0, snapshots=3)
+    config.SweepSpec(axis="qr_frequency", start=0, stop=1, num=3, tmax_us=1.0,
+                     snapshots=4)
+    # integer fields reject bools and floats, naming the field
+    for value in (True, 10.5, 2.0):
+        with pytest.raises(config.ConfigError, match="scenario.snapshots"):
+            config.Scenario(name="x", arm="free_decay", initial="L0",
+                            tmax_us=1.0, snapshots=value)
+        for key in ("num", "snapshots"):
+            kwargs = {"num": 3, "snapshots": 5, key: value}
+            with pytest.raises(config.ConfigError, match=f"sweep.{key}"):
+                config.SweepSpec(axis="qr_frequency", start=0, stop=1,
+                                 tmax_us=1.0, **kwargs)
+        for key in ("shots", "seed"):
+            with pytest.raises(config.ConfigError,
+                               match=f"scenario.tomography.{key}"):
+                config.TomographySettings(**{key: value})
+        with pytest.raises(config.ConfigError, match="scenario.tomography.snapshots"):
+            config.TomographySettings(snapshots=(0, value))
+    with pytest.raises(config.ConfigError, match="scenario.tomography.seed"):
+        config.TomographySettings(seed=-1)
+    assert config.TomographySettings(seed=np.int64(3), shots=np.int64(10)).seed == 3
 
 
 def test_tomography_snapshot_indices_must_be_on_the_grid(tmp_path, capsys):
@@ -271,6 +300,37 @@ def test_main_error_exit_codes(tmp_path, capsys):
     assert cli.main(["run", str(flat), "--outdir", str(tmp_path)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "config" and "scenario.tmax_us" in err["message"]
+    # a non-integer or out-of-range integer field, one snapshot over a
+    # nonzero duration, or a sweep grid too short for the fringe estimate:
+    # each is a config error naming the field, before anything runs
+    sweep = FAST_SCENARIO.split("scenario:")[0] + """
+sweep:
+  axis: qr_frequency
+  start: -1.0
+  stop: 1.0
+  num: 2
+  tmax_us: 1.0
+  snapshots: 5
+"""
+    tomo = FAST_SCENARIO + "  tomography:\n    shots: 100\n"
+    cases = [
+        (FAST_SCENARIO.replace("snapshots: 17", "snapshots: 10.5"), "scenario.snapshots"),
+        (FAST_SCENARIO.replace("snapshots: 17", "snapshots: true"), "scenario.snapshots"),
+        (FAST_SCENARIO.replace("snapshots: 17", "snapshots: 1"), "scenario.tmax_us"),
+        (tomo.replace("shots: 100", "shots: 100.5"), "scenario.tomography.shots"),
+        (tomo.replace("shots: 100", "seed: -1"), "scenario.tomography.seed"),
+        (tomo.replace("shots: 100", "snapshots: [1.7]"), "scenario.tomography.snapshots"),
+        (sweep.replace("num: 2", "num: 2.5"), "sweep.num"),
+        (sweep.replace("snapshots: 5", "snapshots: 3"), "sweep.snapshots"),
+    ]
+    for k, (text, field) in enumerate(cases):
+        path = _write(tmp_path, text, f"bad_{k}.yaml")
+        verb = "sweep" if "sweep:" in text else "run"
+        outdir = tmp_path / f"bad_{k}"
+        assert cli.main([verb, str(path), "--outdir", str(outdir)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "config" and field in err["message"]
+        assert not outdir.exists()
     # a series with one data row is too short to fit: exit 1 with a record
     one_row = _write(tmp_path, "time_us\tcoherence\n0.0\t1.0\n", "one_row.tsv")
     assert cli.main(["fit", str(one_row)]) == 1

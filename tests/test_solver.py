@@ -102,6 +102,24 @@ def _method(block_dim):
     return "expm" if block_dim <= solver.DENSE_BLOCK_MAX else "expm_multiply"
 
 
+def _reduced(h, collapse, v0):
+    """The block of vec(rho) that v0 touches, reduced as ``evolve`` reduces
+    it: its indices, H's tones, and the generator and the driven terms'
+    commutator superoperators restricted to it."""
+    gen = solver._lindblad_generator(h.constant.data, collapse)
+    sups = [solver._commutator(op.data) for _, op in h.driven]
+    keep = solver._touched_block(sum((abs(s) for s in sups), abs(gen)), v0)
+    return (keep, [tone for tone, _ in h.driven], gen[keep][:, keep],
+            [s[keep][:, keep] for s in sups])
+
+
+def _scatter(keep, vecs, size):
+    """Block snapshots written back into zero vectors of length ``size``."""
+    out = np.zeros((len(vecs), size), dtype=complex)
+    out[:, keep] = vecs
+    return out
+
+
 @pytest.mark.parametrize("arm, tmax, snapshots", [
     ("free_decay", None, None),
     ("echo_4qq", None, None),
@@ -120,12 +138,13 @@ def test_exact_propagation_matches_rk45(arm, tmax, snapshots):
         assert traj.meta["block_dim"] == block
         assert traj.meta["method"] == _method(block)
         assert traj.meta["nfev"] == 0
-        gen = solver.liouvillian(h, collapse)
-        ref, meta = solver._integrate_rk45(h, gen, rho0.data.astype(complex).ravel(),
-                                           times)
+        v0 = rho0.data.astype(complex).ravel()
+        keep, tones, gen, sups = _reduced(h, collapse, v0)
+        vecs, meta = solver._integrate_rk45(tones, gen, sups, v0[keep], times)
         assert meta["method"] == "rk45" and meta["nfev"] > 0
         assert meta["block_dim"] == block
-        assert np.max(np.abs(traj.states - ref.reshape(traj.states.shape))) <= 1e-6
+        ref = _scatter(keep, vecs, len(v0)).reshape(traj.states.shape)
+        assert np.max(np.abs(traj.states - ref)) <= 1e-6
 
 
 @pytest.mark.parametrize("arm, initial", [("free_decay", "Lx"), ("aqec", "L0")])
@@ -161,6 +180,35 @@ def test_non_uniform_grid_matches_uniform_grid(arm, initial):
     assert np.max(np.abs(a.states - b.states[shared])) <= 1e-10
 
 
+def test_uniform_grid_takes_one_propagator(monkeypatch):
+    """An np.linspace grid, whose steps differ in the last bits, takes one
+    dense expm or one interval expm_multiply call; a non-uniform grid takes
+    one per step."""
+    calls = {"expm": 0, "expm_multiply": 0}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name, getattr(solver, name)))
+    cfg, h_free, collapse_free = _preset("free_decay")
+    _, h_aqec, collapse_aqec = _preset("aqec")
+    grid = np.array([0.0, 0.1, 0.35, 1.0, 2.5])
+    cases = [("expm", h_free, collapse_free, "Lx",
+              np.linspace(0.0, cfg.scenario.tmax_us, 1081), 1),
+             ("expm_multiply", h_aqec, collapse_aqec, "L0", np.linspace(0.0, 1.5, 7), 1),
+             ("expm", h_free, collapse_free, "Lx", grid, 4),
+             ("expm_multiply", h_aqec, collapse_aqec, "L0", grid, 4)]
+    for method, h, collapse, initial, times, count in cases:
+        calls.update(expm=0, expm_multiply=0)
+        traj = solver.evolve(h, collapse, model.logical_state(initial).to_density(), times)
+        assert traj.meta["method"] == method
+        assert calls == {"expm": 0, "expm_multiply": 0, method: count}
+
+
 def _random_density(rng, dim):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
@@ -190,8 +238,7 @@ def test_liouvillian_matches_dense_lindblad_equation():
 
 
 def test_commutator_of_non_hermitian_operator():
-    """_commutator(O) @ vec(rho) is -i(O rho - rho O) also for O != O^dag, as
-    the Floquet sideband term h_plus is."""
+    """_commutator(O) @ vec(rho) is -i(O rho - rho O) also for O != O^dag."""
     rng = np.random.default_rng(12)
     op = rng.normal(size=(36, 36)) + 1j * rng.normal(size=(36, 36))
     op[rng.random(size=op.shape) < 0.8] = 0.0
@@ -272,7 +319,8 @@ def _full_stack_floquet(h, collapse, v0, times):
     gen.eliminate_zeros()
     ext = np.zeros((2 * m + 1) * d2, dtype=complex)
     ext[m * d2:(m + 1) * d2] = v0
-    keep, vecs, _ = solver._propagate_exact(gen, ext, times)
+    keep = solver._touched_block(gen, ext)
+    vecs, _ = solver._propagate_exact(gen[keep][:, keep], ext[keep], times)
     harmonic, entry = np.divmod(keep, d2)
     harmonic -= m
     tail = float(np.max(np.abs(vecs[:, np.abs(harmonic) == m]), initial=0.0))
@@ -284,7 +332,7 @@ def _full_stack_floquet(h, collapse, v0, times):
 
 
 def test_floquet_base_block_matches_full_stack():
-    """The Floquet stack built on the base block that rho0 touches gives the
+    """The Floquet stack built on the block that rho0 touches gives the
     block, snapshots and tail of the stack on all 1296 states, for the
     lossless qr_frequency and the lossy red_pair_center sweep of the
     benchmark's chevron workload."""
@@ -297,8 +345,9 @@ def test_floquet_base_block_matches_full_stack():
               np.linspace(0.0, 6.0, 121))]
     for h, collapse, psi0, block, times in cases:
         v0 = psi0.to_density().data.ravel()
-        states, meta = solver._propagate_floquet(
-            h, solver._lindblad_generator(h.constant.data, collapse), v0, times)
+        keep, tones, gen, sups = _reduced(h, collapse, v0)
+        vecs, meta = solver._propagate_floquet(tones, gen, sups, v0[keep], times)
+        states = _scatter(keep, vecs, len(v0))
         ref_block, ref_states, ref_tail = _full_stack_floquet(h, collapse, v0, times)
         assert meta["block_dim"] == ref_block == block
         assert np.max(np.abs(states - ref_states)) <= 1e-12
