@@ -17,22 +17,24 @@ import numpy as np
 from aqecsim import analysis, config, model, solver
 
 ARMS = ("free_decay", "echo_4qq", "aqec")
-STATES = ("L0", "L1", "Lx")
 
 
 def arm_lifetimes(arm, tmax, snapshots):
+    """{state: fitted tau (us), or the FitError of a fit that failed}."""
     cfg = config.load_preset(arm)
     h = model.build_rotating_hamiltonian(cfg.device, cfg.drive)
     collapse = model.collapse_operators(cfg.noise)
     times = np.linspace(0.0, tmax, snapshots)
     taus = {}
-    for state in STATES:
+    for state in model.LOGICAL_STATES:
         traj = solver.evolve(h, collapse,
                              model.logical_state(state).to_density(), times)
         coh = analysis.coherence_metric(traj, state)
-        fit = analysis.fit_exponential(times, coh,
-                                       skip_initial=cfg.scenario.fit_skip_us)
-        taus[state] = fit.tau
+        try:
+            taus[state] = analysis.fit_exponential(
+                times, coh, skip_initial=cfg.scenario.fit_skip_us).tau
+        except analysis.FitError as exc:
+            taus[state] = exc
     return taus
 
 
@@ -45,17 +47,21 @@ def main():
 
     results = {}
     for arm in ARMS:
-        print(f"running {arm} ({tmax:g} us x {len(STATES)} states)...")
+        print(f"running {arm} ({tmax:g} us x {len(model.LOGICAL_STATES)} states)...")
         results[arm] = arm_lifetimes(arm, tmax, snapshots)
 
     print()
     print(f"{'state':>6} | " + " | ".join(f"{arm:>12}" for arm in ARMS)
           + " | corrected/free")
     print("-" * 66)
-    for state in STATES:
-        row = " | ".join(f"{results[arm][state]:9.2f} us" for arm in ARMS)
-        ratio = results["aqec"][state] / results["free_decay"][state]
-        print(f"{state:>6} | {row} | {ratio:13.2f}")
+    for state in model.LOGICAL_STATES:
+        taus = [results[arm][state] for arm in ARMS]
+        row = " | ".join(f"{tau:9.2f} us" if isinstance(tau, float) else f"fit failed: {tau}"
+                         for tau in taus)
+        free, _, aqec = taus
+        ratio = (f"{aqec / free:13.2f}" if isinstance(free, float) and isinstance(aqec, float)
+                 else f"{'-':>13}")
+        print(f"{state:>6} | {row} | {ratio}")
     print()
     print("Lifetimes are exponential fits to each state's coherence metric;")
     print("the correction arm skips the initial transient before fitting.")

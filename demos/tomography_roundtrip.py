@@ -17,7 +17,7 @@ from aqecsim import model, tomography
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--state", default="Lx", choices=("L0", "L1", "Lx"))
+    parser.add_argument("--state", default="Lx", choices=model.LOGICAL_STATES)
     parser.add_argument("--shots", type=int, default=5000)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--readout-fidelity", type=float, default=0.95,

@@ -126,15 +126,15 @@ def error_population(rho, label):
     """Total population in the single-photon-loss error states for a label.
 
     ``rho`` is a density matrix (two-qutrit or full space), which gives a
-    float, or a Trajectory, which gives one value per snapshot.  The error
-    states of L0 are E0k and those of L1 are E1k (``model.ERROR_STATES``);
-    Lx counts all four.
+    float, or a Trajectory, which gives one value per snapshot.  A logical
+    basis state counts its own error states (``model.CODE``); Lx counts all
+    four.
     """
-    if label not in ("L0", "L1", "Lx"):
+    if label not in model.LOGICAL_STATES:
         raise ValueError(f"unknown logical label {label!r}")
     r9 = _two_qutrit(rho)
-    idx = [basis_index(QQ_DIMS, s) for e, s in model.ERROR_STATES.items()
-           if label == "Lx" or e[1] == label[1]]
+    idx = [basis_index(QQ_DIMS, s) for logical, cw in model.CODE.items()
+           if label in (logical, "Lx") for s in cw.errors.values()]
     return _per_state(rho, sum(r9[:, i, i].real for i in idx))
 
 
@@ -155,16 +155,16 @@ def _abs(z):
 def coherence_metric(rho, label):
     """Magnitude of the label's most decay-sensitive off-diagonal element.
 
-    Normalized so the perfect logical state scores 1: twice |<gf|rho|fg>| or
-    |<gg|rho|ff>| for the two basis logical states, and |Tr(rho X)| for their
+    Normalized so the perfect logical state scores 1: twice |<a|rho|b>| over
+    the codeword levels (a, b) of a basis logical state (``model.CODE``:
+    gf, fg for L0 and gg, ff for L1), and |Tr(rho X)| for their
     balanced superposition, where X is the transparent logical-flip operator.
     Takes the same inputs as :func:`error_population`.
     """
     r9 = _two_qutrit(rho)
-    if label == "L0":
-        values = 2.0 * _abs(r9[:, basis_index(QQ_DIMS, "gf"), basis_index(QQ_DIMS, "fg")])
-    elif label == "L1":
-        values = 2.0 * _abs(r9[:, basis_index(QQ_DIMS, "gg"), basis_index(QQ_DIMS, "ff")])
+    if label in model.CODE:
+        a, b = (basis_index(QQ_DIMS, s) for s in model.CODE[label].levels)
+        values = 2.0 * _abs(r9[:, a, b])
     elif label == "Lx":
         values = _abs(np.trace(r9 @ _X_TILDE, axis1=1, axis2=2))
     else:

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .operators import QQ_DIMS, destroy
+
 #: kinetic prefactor 2 e^2 / h for C in fF, in GHz
 CHARGE_SCALE_GHZ_FF = 77.46
 
@@ -119,10 +121,10 @@ def adiabatic_couplings(circuit, phi_dc, omega_q1, omega_q2):
 
 def bosonic_matrix_element(psi_1, psi_2):
     """|<psi_1| (a1 + a1^dag)(a2 + a2^dag) |psi_2>| on the two-qutrit space."""
-    if psi_1.dims != (3, 3) or psi_2.dims != (3, 3):
+    if psi_1.dims != QQ_DIMS or psi_2.dims != QQ_DIMS:
         raise ValueError("sideband endpoints must be two-qutrit states")
-    a = np.diag(np.sqrt([1.0, 2.0]), k=1)
-    x = a + a.conj().T
+    a = destroy(3)
+    x = (a + a.dag()).data
     op = np.kron(x, x)
     return abs(np.vdot(psi_1.amplitudes, op @ psi_2.amplitudes))
 

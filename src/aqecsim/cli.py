@@ -126,8 +126,8 @@ def run_scenario(config_token, outdir=".", initial=None, baseline=None):
             conf = tomography.ConfusionMatrix.load(sc.tomography.confusion)
         else:
             conf = tomography.ConfusionMatrix.identity()
-        for idx in sc.tomography.snapshots:
-            i = idx % len(traj)
+        # indices naming the same snapshot reconstruct it once
+        for i in dict.fromkeys(idx % len(traj) for idx in sc.tomography.snapshots):
             rho9 = partial_trace(traj.state(i), keep=(0, 1))
             tomo = tomography.simulate_counts(
                 rho9, tset, conf, sc.tomography.shots,
@@ -234,7 +234,7 @@ def _build_parser():
     p_run = sub.add_parser("run", help="simulate a scenario config")
     p_run.add_argument("config")
     p_run.add_argument("--outdir", default=".")
-    p_run.add_argument("--initial", choices=("L0", "L1", "Lx"))
+    p_run.add_argument("--initial", choices=model.LOGICAL_STATES)
     p_run.add_argument("--baseline", help="baseline summary file for the "
                                           "improvement factor")
 

@@ -18,10 +18,9 @@ from pathlib import Path
 
 import yaml
 
-from .model import SWEEP_AXES, DeviceParams, DriveConfig, NoiseModel, named_state
+from .model import LOGICAL_STATES, SWEEP_AXES, DeviceParams, DriveConfig, NoiseModel, named_state
 
 ARMS = ("free_decay", "echo_4qq", "aqec")
-INITIAL_STATES = ("L0", "L1", "Lx")
 
 
 class ConfigError(ValueError):
@@ -70,9 +69,9 @@ class Scenario:
     def __post_init__(self):
         if self.arm not in ARMS:
             raise ConfigError(f"scenario.arm: {self.arm!r} is not one of {ARMS}")
-        if self.initial not in INITIAL_STATES:
+        if self.initial not in LOGICAL_STATES:
             raise ConfigError(
-                f"scenario.initial: {self.initial!r} is not one of {INITIAL_STATES}")
+                f"scenario.initial: {self.initial!r} is not one of {LOGICAL_STATES}")
         if self.tmax_us < 0:
             raise ConfigError("scenario.tmax_us: must be >= 0")
         _check_int("scenario.snapshots", self.snapshots, 1)
@@ -151,6 +150,8 @@ def _build(section, cls, data, converters=()):
     coerced = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
     try:
         return cls(**coerced)
+    except ConfigError:
+        raise  # already names its field
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 

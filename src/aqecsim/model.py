@@ -49,10 +49,16 @@ from .operators import (
 
 TWOPI = 2.0 * math.pi
 
-#: error-state mapping: E_jk is the single-photon-loss error state associated
-#: with logical state j and loss index k, in the order
-#: ``analysis.error_population`` sums their populations
-ERROR_STATES = {"E02": "ge", "E01": "eg", "E12": "ef", "E11": "fe"}
+#: The code, written once: each logical basis state L = (|a> - |b>)/sqrt(2)
+#: has codeword ``levels`` (a, b) and single-photon-loss error states E_jk
+#: (logical state j, loss index k) -> level, in the order
+#: ``analysis.error_population`` sums their populations.
+Codeword = namedtuple("Codeword", "levels errors")
+CODE = {"L0": Codeword(("gf", "fg"), {"E02": "ge", "E01": "eg"}),
+        "L1": Codeword(("gg", "ff"), {"E12": "ef", "E11": "fe"})}
+ERROR_STATES = {e: level for cw in CODE.values() for e, level in cw.errors.items()}
+#: the states a scenario starts from: both basis states and Lx = (L0 - L1)/sqrt(2)
+LOGICAL_STATES = ("L0", "L1", "Lx")
 
 
 @dataclass(frozen=True)
@@ -175,28 +181,19 @@ class HamiltonianSpec:
 # states
 
 def _two_qutrit_amplitudes(label):
-    amps = np.zeros(9, dtype=complex)
-
-    def put(basis_label, value):
-        amps[basis_index(QQ_DIMS, basis_label)] += value
-
-    s = 1.0 / math.sqrt(2.0)
-    if label == "L0":
-        put("gf", s)
-        put("fg", -s)
-    elif label == "L1":
-        put("gg", s)
-        put("ff", -s)
-    elif label == "Lx":
-        # (L0 - L1)/sqrt(2): the combination with unit logical-X expectation
-        put("gf", 0.5)
-        put("fg", -0.5)
-        put("gg", -0.5)
-        put("ff", 0.5)
-    elif label in ERROR_STATES:
-        put(ERROR_STATES[label], 1.0)
+    if label in ERROR_STATES:
+        terms = [(ERROR_STATES[label], 1.0)]
+    elif label in LOGICAL_STATES:
+        # Lx = (L0 - L1)/sqrt(2), the combination with unit logical-X
+        # expectation, with its amplitudes written as exact halves
+        weights = {"L0": 0.5, "L1": -0.5} if label == "Lx" else {label: 1.0 / math.sqrt(2.0)}
+        terms = [(level, sign * w) for logical, w in weights.items()
+                 for level, sign in zip(CODE[logical].levels, (1.0, -1.0))]
     else:
         raise ValueError(f"unknown logical/error state label {label!r}")
+    amps = np.zeros(9, dtype=complex)
+    for level, value in terms:
+        amps[basis_index(QQ_DIMS, level)] += value
     return amps
 
 
@@ -334,8 +331,10 @@ def build_rotating_hamiltonian(device, drive):
     time-independent frame.
     """
     h = _frame_diagonal(device)
-    h = h - drive.nu_r * (_p("gf").data + _p("fg").data + _p("ge").data + _p("eg").data)
-    h = h - drive.nu_b * (_p("gg").data + _p("ff").data + _p("ef").data + _p("fe").data)
+    # each pair detuning shifts one branch: its codewords and their error levels
+    for nu, logical in ((drive.nu_r, "L0"), (drive.nu_b, "L1")):
+        branch = CODE[logical].levels + tuple(CODE[logical].errors.values())
+        h = h - nu * sum(_p(level).data for level in branch)
     for _, raising in _raising(drive).values():
         h = h + raising.data + raising.data.conj().T
     return HamiltonianSpec(LabeledOperator(FULL_DIMS, TWOPI * h + _shifts(device)))
@@ -466,12 +465,10 @@ def qq_drive_amplitude(device, drive, t, scale=1.0):
 
 @functools.cache
 def _transmon_jump(j, to, frm):
-    """|to><frm| on transmon j (levels g=0, e=1, f=2) on the full space."""
-    op3 = np.zeros((3, 3))
-    op3[to, frm] = 1.0
-    return tensor([LabeledOperator((3,), op3) if j == 1 else identity(3),
-                   LabeledOperator((3,), op3) if j == 2 else identity(3),
-                   identity(2), identity(2)])
+    """|to><frm| on transmon j, levels named "g", "e" or "f", on the full space."""
+    op3 = ket_projector((3,), to, frm)
+    return tensor(op3 if j == 1 else identity(3), op3 if j == 2 else identity(3),
+                  identity(2), identity(2))
 
 
 def collapse_operators(noise):
@@ -485,15 +482,15 @@ def collapse_operators(noise):
     for j in (1, 2):
         i = j - 1
         if math.isfinite(noise.t1_ge[i]):
-            ops.append(math.sqrt(1.0 / noise.t1_ge[i]) * _transmon_jump(j, 0, 1))
+            ops.append(math.sqrt(1.0 / noise.t1_ge[i]) * _transmon_jump(j, "g", "e"))
         if math.isfinite(noise.t1_ef[i]):
-            ops.append(math.sqrt(1.0 / noise.t1_ef[i]) * _transmon_jump(j, 1, 2))
+            ops.append(math.sqrt(1.0 / noise.t1_ef[i]) * _transmon_jump(j, "e", "f"))
         if math.isfinite(noise.t1_up[i]):
-            ops.append(math.sqrt(1.0 / noise.t1_up[i]) * _transmon_jump(j, 1, 0))
-            ops.append(math.sqrt(2.0 / noise.t1_up[i]) * _transmon_jump(j, 2, 1))
+            ops.append(math.sqrt(1.0 / noise.t1_up[i]) * _transmon_jump(j, "e", "g"))
+            ops.append(math.sqrt(2.0 / noise.t1_up[i]) * _transmon_jump(j, "f", "e"))
         if math.isfinite(noise.t_phi[i]):
-            ops.append(math.sqrt(1.0 / noise.t_phi[i]) * _transmon_jump(j, 1, 1))
-            ops.append(math.sqrt(1.0 / noise.t_phi[i]) * _transmon_jump(j, 2, 2))
+            ops.append(math.sqrt(1.0 / noise.t_phi[i]) * _transmon_jump(j, "e", "e"))
+            ops.append(math.sqrt(1.0 / noise.t_phi[i]) * _transmon_jump(j, "f", "f"))
 
     for j, kappa in zip((1, 2), noise.kappa):
         if kappa <= 0:

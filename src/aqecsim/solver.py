@@ -44,6 +44,7 @@ internal stage.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -160,9 +161,10 @@ def _propagate_exact(gen, v0, times):
     vecs[0] = v0
     if len(v0) <= DENSE_BLOCK_MAX:
         dense = gen.toarray()
-        props = [expm(dense * dt) for dt in (steps[:1] if uniform else steps)]
-        for k in range(len(steps)):
-            vecs[k + 1] = props[0 if uniform else k] @ vecs[k]
+        # one dense propagator alive at a time
+        prop = expm(dense * steps[0]) if uniform and len(steps) else None
+        for k, dt in enumerate(steps):
+            vecs[k + 1] = (prop if uniform else expm(dense * dt)) @ vecs[k]
         return vecs, "expm"
     if uniform and len(steps):
         vecs[:] = expm_multiply(gen, v0, start=0.0, stop=times[-1] - times[0],
@@ -350,14 +352,12 @@ class ChevronMap:
                        delimiter="\t", comments="")
 
 
-def _sweep_one(args):
-    device, drive, axis, offset, times, rho0_data, dims, collapse = args
+def _sweep_one(device, drive, axis, times, rho0, collapse, offset):
+    """(n_times, 2) photon numbers of both transmons at one sweep offset."""
     h = model.build_static_hamiltonian(device, drive,
                                        **{model.SWEEP_AXES[axis]: offset})
-    rho0 = DensityMatrix(dims, rho0_data)
     traj = evolve(h, collapse, rho0, times, validate=False)
-    nq = observable_series(traj, [model.transmon_number(1), model.transmon_number(2)])
-    return nq[:, 0], nq[:, 1]
+    return observable_series(traj, [model.transmon_number(1), model.transmon_number(2)])
 
 
 def sweep_chevron(device, drive, axis, offsets, times, rho0, collapse=(), workers=1):
@@ -369,22 +369,20 @@ def sweep_chevron(device, drive, axis, offsets, times, rho0, collapse=(), worker
     """
     if axis not in model.SWEEP_AXES:
         raise ValueError(f"axis must be one of {tuple(model.SWEEP_AXES)}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     offsets = np.asarray(offsets, dtype=float)
     if offsets.size == 0:
         raise ValueError("offset grid must be nonempty")
     times = np.asarray(times, dtype=float)
 
-    jobs = [(device, drive, axis, float(off), times, rho0.data, rho0.dims,
-             tuple(collapse)) for off in offsets]
+    job = functools.partial(_sweep_one, device, drive, axis, times, rho0, tuple(collapse))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sweep_one, jobs))
+            nq = np.stack(list(pool.map(job, offsets.tolist())))
     else:
-        results = [_sweep_one(j) for j in jobs]
-
-    n1 = np.array([r[0] for r in results])
-    n2 = np.array([r[1] for r in results])
-    return ChevronMap(axis, offsets, times, n1, n2)
+        nq = np.stack([job(off) for off in offsets.tolist()])
+    return ChevronMap(axis, offsets, times, nq[:, :, 0], nq[:, :, 1])
 
 
 def fringe_frequency(times, series):

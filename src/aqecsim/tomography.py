@@ -29,12 +29,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import QQ_DIMS, DensityMatrix, validate_state
+from .operators import QQ_DIMS, QUTRIT_LEVELS, DensityMatrix, validate_state
 
 N_OUT = 9
 N_ROT = 81
 
-_BASIS_LABELS = tuple(a + b for a in "gef" for b in "gef")
+_BASIS_LABELS = tuple(a + b for a in QUTRIT_LEVELS for b in QUTRIT_LEVELS)
 
 
 def r_ge(phi, theta):

@@ -214,6 +214,13 @@ def test_run_scenario_zero_duration(tmp_path):
     assert float(entries["coherence_final"]) == pytest.approx(1.0)
     assert float(entries["error_population_final"]) == pytest.approx(0.0)
     assert "fit_tau_us" not in entries  # too few samples to fit
+    # the default tomography indices (0, -1) name the one snapshot: it is
+    # reconstructed once and reported once
+    out = tmp_path / "tomo"
+    summary = cli.run_scenario(_write(tmp_path, text + "  tomography:\n    shots: 100\n"), out)
+    keys = [line.partition(":")[0] for line in summary.read_text().splitlines()]
+    assert keys.count("tomography_fidelity_snapshot_0") == 1
+    assert [p.name for p in out.glob("*_tomogram_*")] == ["fast_L1_tomogram_0.tsv"]
 
 
 def test_run_scenario_baseline_improvement(tmp_path):
@@ -329,7 +336,7 @@ sweep:
         outdir = tmp_path / f"bad_{k}"
         assert cli.main([verb, str(path), "--outdir", str(outdir)]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "config" and field in err["message"]
+        assert err["error"] == "config" and err["message"].startswith(field + ":")
         assert not outdir.exists()
     # a series with one data row is too short to fit: exit 1 with a record
     one_row = _write(tmp_path, "time_us\tcoherence\n0.0\t1.0\n", "one_row.tsv")
@@ -337,7 +344,7 @@ sweep:
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
-def test_main_sweep_verb(tmp_path):
+def test_main_sweep_verb(tmp_path, capsys):
     text = FAST_SCENARIO.split("scenario:")[0] + """
 sweep:
   axis: qr_frequency
@@ -353,5 +360,13 @@ sweep:
     assert cli.main(["sweep", str(cfg_path), "--outdir", str(tmp_path)]) == 0
     entries = cli._read_summary(tmp_path / "sweep_qr_frequency_summary.txt")
     assert float(entries["center_offset_mhz"]) == pytest.approx(0.0)
-    assert (tmp_path / "sweep_qr_frequency_n_q1.tsv").exists()
-    assert (tmp_path / "sweep_qr_frequency_fringe.tsv").exists()
+    # a worker pool writes the same bytes as the serial path
+    pooled = tmp_path / "pooled"
+    assert cli.main(["sweep", str(cfg_path), "--outdir", str(pooled), "--workers", "2"]) == 0
+    for suffix in ("n_q1.tsv", "n_q2.tsv", "fringe.tsv", "summary.txt"):
+        name = f"sweep_qr_frequency_{suffix}"
+        assert (pooled / name).read_bytes() == (tmp_path / name).read_bytes()
+    # no worker at all is an input error, not a serial run
+    assert cli.main(["sweep", str(cfg_path), "--outdir", str(tmp_path / "none"),
+                     "--workers", "0"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"

@@ -47,7 +47,7 @@ def test_error_states_and_projectors():
     # E_jk counts as an error of logical state j and of Lx, not of the other
     for label in model.ERROR_STATES:
         rho = model.logical_state(label).to_density()
-        own, other = ("L0", "L1") if label[1] == "0" else ("L1", "L0")
+        own, other = ("L0", "L1") if label in model.CODE["L0"].errors else ("L1", "L0")
         assert analysis.error_population(rho, own) == pytest.approx(1.0)
         assert analysis.error_population(rho, "Lx") == pytest.approx(1.0)
         assert analysis.error_population(rho, other) == pytest.approx(0.0)
@@ -386,7 +386,7 @@ def test_cached_operators_are_read_only():
     """The label-keyed operators are shared between calls, so writing into
     one raises, and repeated builds return equal matrices."""
     for op in (model.transmon_number(1), model._p("gf"), model.resonator_number(2),
-               model._resonator_lowering(1), model._transmon_jump(2, 0, 1),
+               model._resonator_lowering(1), model._transmon_jump(2, "g", "e"),
                model._drive_operator(model.DRIVES[4])):
         with pytest.raises(ValueError):
             op.data[0, 0] = 1.0

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -183,13 +184,18 @@ def test_non_uniform_grid_matches_uniform_grid(arm, initial):
 def test_uniform_grid_takes_one_propagator(monkeypatch):
     """An np.linspace grid, whose steps differ in the last bits, takes one
     dense expm or one interval expm_multiply call; a non-uniform grid takes
-    one per step."""
+    one per step, and holds at most two dense propagators at once."""
     calls = {"expm": 0, "expm_multiply": 0}
+    returned, most_alive = [], [0]
 
     def counting(name, func):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return func(*args, **kwargs)
+            out = func(*args, **kwargs)
+            if name == "expm":
+                returned.append(weakref.ref(out))
+                most_alive[0] = max(most_alive[0], sum(r() is not None for r in returned))
+            return out
         return wrapper
 
     for name in calls:
@@ -207,6 +213,7 @@ def test_uniform_grid_takes_one_propagator(monkeypatch):
         traj = solver.evolve(h, collapse, model.logical_state(initial).to_density(), times)
         assert traj.meta["method"] == method
         assert calls == {"expm": 0, "expm_multiply": 0, method: count}
+    assert len(returned) == 1 + 4 and most_alive[0] <= 2
 
 
 def _random_density(rng, dim):
