@@ -113,7 +113,7 @@ def _two_qutrit(rho):
     if rho.dims == QQ_DIMS:
         return stack
     if rho.dims == FULL_DIMS:
-        return trace_out(stack, FULL_DIMS, keep=(0, 1))[1]
+        return trace_out(stack, FULL_DIMS, keep=range(len(QQ_DIMS)))[1]
     raise ValueError(f"unsupported state dims {rho.dims}")
 
 

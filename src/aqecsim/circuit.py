@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import QQ_DIMS, destroy
+from .operators import QQ_DIMS, destroy, tensor
 
 #: kinetic prefactor 2 e^2 / h for C in fF, in GHz
 CHARGE_SCALE_GHZ_FF = 77.46
@@ -123,9 +123,7 @@ def bosonic_matrix_element(psi_1, psi_2):
     """|<psi_1| (a1 + a1^dag)(a2 + a2^dag) |psi_2>| on the two-qutrit space."""
     if psi_1.dims != QQ_DIMS or psi_2.dims != QQ_DIMS:
         raise ValueError("sideband endpoints must be two-qutrit states")
-    a = destroy(3)
-    x = (a + a.dag()).data
-    op = np.kron(x, x)
+    op = tensor(*(a + a.dag() for a in map(destroy, QQ_DIMS))).data
     return abs(np.vdot(psi_1.amplitudes, op @ psi_2.amplitudes))
 
 

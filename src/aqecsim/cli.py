@@ -27,7 +27,7 @@ import numpy as np
 
 from . import analysis, model, solver, tomography
 from .config import ConfigError, load_config, preset_path
-from .operators import partial_trace
+from .operators import QQ_DIMS, partial_trace
 
 _FMT = "{:.12g}"
 
@@ -128,7 +128,7 @@ def run_scenario(config_token, outdir=".", initial=None, baseline=None):
             conf = tomography.ConfusionMatrix.identity()
         # indices naming the same snapshot reconstruct it once
         for i in dict.fromkeys(idx % len(traj) for idx in sc.tomography.snapshots):
-            rho9 = partial_trace(traj.state(i), keep=(0, 1))
+            rho9 = partial_trace(traj.state(i), keep=range(len(QQ_DIMS)))
             tomo = tomography.simulate_counts(
                 rho9, tset, conf, sc.tomography.shots,
                 sc.tomography.seed + i)

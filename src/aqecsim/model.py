@@ -41,10 +41,9 @@ from .operators import (
     basis_index,
     basis_state,
     destroy,
-    identity,
+    embed,
     ket_projector,
     number,
-    tensor,
 )
 
 TWOPI = 2.0 * math.pi
@@ -191,7 +190,7 @@ def _two_qutrit_amplitudes(label):
                  for level, sign in zip(CODE[logical].levels, (1.0, -1.0))]
     else:
         raise ValueError(f"unknown logical/error state label {label!r}")
-    amps = np.zeros(9, dtype=complex)
+    amps = np.zeros(math.prod(QQ_DIMS), dtype=complex)
     for level, value in terms:
         amps[basis_index(QQ_DIMS, level)] += value
     return amps
@@ -204,10 +203,8 @@ def logical_qutrit_state(label):
 
 def logical_state(label):
     """Named logical or error state with both resonators in vacuum."""
-    amps9 = _two_qutrit_amplitudes(label)
-    vac = np.zeros(4)
-    vac[0] = 1.0
-    return StateVector(FULL_DIMS, np.kron(amps9, vac))
+    vacuum = basis_state(FULL_DIMS[len(QQ_DIMS):], "00")
+    return StateVector(FULL_DIMS, np.kron(_two_qutrit_amplitudes(label), vacuum.amplitudes))
 
 
 def named_state(label):
@@ -222,38 +219,32 @@ def named_state(label):
 # ---------------------------------------------------------------------------
 # operator helpers on the full space
 #
-# The label-keyed operators are built once and cached: a LabeledOperator
-# holds a read-only array, so no caller can alter a shared one.
+# Each is one operators.embed call: transmon j is subsystem j - 1 and
+# resonator j is subsystem j + 1.  The label-keyed operators are built once
+# and cached: a LabeledOperator holds a read-only array, so no caller can
+# alter a shared one.
 
 @functools.cache
 def _p(label):
-    """Two-transmon projector |ab><ab| x I4."""
-    return tensor(ket_projector(QQ_DIMS, label), identity(2), identity(2))
+    """Two-transmon projector |ab><ab| on the full space."""
+    return embed({0: ket_projector(QQ_DIMS, label)})
 
 
 @functools.cache
 def transmon_number(j):
     """n_qj on the full space (j = 1 or 2)."""
-    ops = [number(3) if j == 1 else identity(3),
-           number(3) if j == 2 else identity(3),
-           identity(2), identity(2)]
-    return tensor(ops)
+    return embed({j - 1: number(FULL_DIMS[j - 1])})
 
 
 @functools.cache
 def resonator_number(j):
-    ops = [identity(3), identity(3),
-           number(2) if j == 1 else identity(2),
-           number(2) if j == 2 else identity(2)]
-    return tensor(ops)
+    return embed({j + 1: number(FULL_DIMS[j + 1])})
 
 
 @functools.cache
 def _resonator_lowering(j):
     """Annihilation operator of resonator j on the full space (j = 1 or 2)."""
-    return tensor(identity(3), identity(3),
-                  destroy(2) if j == 1 else identity(2),
-                  destroy(2) if j == 2 else identity(2))
+    return embed({j + 1: destroy(FULL_DIMS[j + 1])})
 
 
 #: One always-on sideband drive: it raises each (to, from) two-transmon
@@ -284,8 +275,10 @@ SWEEP_AXES = {"red_pair_center": "red_offset", "blue_pair_center": "blue_offset"
 def _drive_operator(d):
     """Sum of a drive's |to><from| on the full space, times a_r^dag for a QR drive."""
     op9 = sum(ket_projector(QQ_DIMS, to, frm).data for to, frm in d.transitions)
-    photon = [destroy(2).dag() if d.resonator == j else identity(2) for j in (1, 2)]
-    return tensor(LabeledOperator(QQ_DIMS, op9), *photon)
+    parts = {0: LabeledOperator(QQ_DIMS, op9)}
+    if d.resonator is not None:
+        parts[d.resonator + 1] = destroy(FULL_DIMS[d.resonator + 1]).dag()
+    return embed(parts)
 
 
 def _raising(drive):
@@ -412,8 +405,7 @@ def _lab_frame(device, drive, scale):
     """
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must lie in (0, 1]")
-    aq1 = tensor(destroy(3), identity(3), identity(2), identity(2))
-    aq2 = tensor(identity(3), destroy(3), identity(2), identity(2))
+    aq1, aq2 = (embed({k: destroy(FULL_DIMS[k])}) for k in (0, 1))
 
     def duffing(aq, alpha):
         ad = aq.dag().data
@@ -430,9 +422,9 @@ def _lab_frame(device, drive, scale):
 
     tones = []
     for d in (d for d in DRIVES if getattr(drive, d.rate) > 0):
-        to, frm = d.transitions[0]
-        i = basis_index(FULL_DIMS, to + {None: "00", 1: "10", 2: "01"}[d.resonator])
-        j = basis_index(FULL_DIMS, frm + "00")
+        # the first transition from the vacuum: its column holds one entry
+        j = basis_index(FULL_DIMS, d.transitions[0][1] + "00")
+        (i,) = np.flatnonzero(_drive_operator(d).data[:, j])
         carrier = float((const[i, i] - const[j, j]).real)
         carrier -= getattr(drive, d.detuning) if d.detuning else 0.0
         phase = -drive.phases[d.phase] if d.phase is not None else 0.0
@@ -466,9 +458,7 @@ def qq_drive_amplitude(device, drive, t, scale=1.0):
 @functools.cache
 def _transmon_jump(j, to, frm):
     """|to><frm| on transmon j, levels named "g", "e" or "f", on the full space."""
-    op3 = ket_projector((3,), to, frm)
-    return tensor(op3 if j == 1 else identity(3), op3 if j == 2 else identity(3),
-                  identity(2), identity(2))
+    return embed({j - 1: ket_projector(FULL_DIMS[j - 1:j], to, frm)})
 
 
 def collapse_operators(noise):

@@ -1,11 +1,15 @@
 """Dimension-aware operator algebra on tensor-product Hilbert spaces.
 
-The fixed working space is Q1(3) x Q2(3) x R1(2) x R2(2), in that subsystem
-order, but all routines accept arbitrary dimension lists.  Transmon levels are
-indexed g=0, e=1, f=2; resonator levels are photon numbers.  The partial trace
-and the physicality check take whole ``(..., n, n)`` stacks, so a trajectory
-is reduced or validated in one call; the check diagonalizes only the blocks
-of levels the stack couples.
+The working space is Q1(3) x Q2(3) x R1(2) x R2(2), in that subsystem order,
+and this module alone writes it down: :data:`FULL_DIMS` holds the order and
+dimensions, :data:`QQ_DIMS` is its two-transmon part, and :func:`embed`
+builds every full-space operator from local parts, with the identity on the
+other subsystems.  Transmon j is subsystem j - 1 and resonator j is
+subsystem j + 1.  The other routines accept arbitrary dimension lists.
+Transmon levels are indexed g=0, e=1, f=2; resonator levels are photon
+numbers.  The partial trace and the physicality check take whole
+``(..., n, n)`` stacks, so a trajectory is reduced or validated in one call;
+the check diagonalizes only the blocks of levels the stack couples.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 from scipy.sparse.csgraph import connected_components
 
 FULL_DIMS = (3, 3, 2, 2)
-QQ_DIMS = (3, 3)  # the two transmons alone, FULL_DIMS[:2]
+QQ_DIMS = FULL_DIMS[:2]  # the two transmons alone
 QUTRIT_LEVELS = {"g": 0, "e": 1, "f": 2}
 # Snapshots validate_state gathers at once.  Bounding its temporaries keeps a
 # long trajectory's check from raising the process's peak RSS.
@@ -57,19 +61,8 @@ class LabeledOperator:
     def __post_init__(self):
         _freeze_array(self, "data", 2)
 
-    @property
-    def dim(self):
-        return self.data.shape[0]
-
     def dag(self):
         return LabeledOperator(self.dims, self.data.conj().T)
-
-    def __matmul__(self, other):
-        if isinstance(other, LabeledOperator):
-            if other.dims != self.dims:
-                raise DimensionMismatchError(f"{self.dims} vs {other.dims}")
-            return LabeledOperator(self.dims, self.data @ other.data)
-        return NotImplemented
 
     def __add__(self, other):
         if isinstance(other, LabeledOperator):
@@ -78,20 +71,10 @@ class LabeledOperator:
             return LabeledOperator(self.dims, self.data + other.data)
         return NotImplemented
 
-    def __sub__(self, other):
-        if isinstance(other, LabeledOperator):
-            if other.dims != self.dims:
-                raise DimensionMismatchError(f"{self.dims} vs {other.dims}")
-            return LabeledOperator(self.dims, self.data - other.data)
-        return NotImplemented
-
     def __mul__(self, scalar):
         return LabeledOperator(self.dims, self.data * scalar)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return LabeledOperator(self.dims, -self.data)
 
 
 @dataclass(frozen=True)
@@ -194,8 +177,6 @@ def ket_projector(dims, label_to, label_from=None):
 
 def tensor(*factors):
     """Kronecker product of LabeledOperators in the declared subsystem order."""
-    if len(factors) == 1 and isinstance(factors[0], (list, tuple)):
-        factors = tuple(factors[0])
     if not factors:
         raise ValueError("tensor requires at least one factor")
     data = factors[0].data
@@ -204,6 +185,25 @@ def tensor(*factors):
         data = np.kron(data, f.data)
         dims.extend(f.dims)
     return LabeledOperator(tuple(dims), data)
+
+
+def embed(parts):
+    """FULL_DIMS operator of ``{first subsystem index: local operator}`` parts.
+
+    A part spans as many subsystems as it has dims, e.g. a QQ_DIMS operator
+    at 0; every subsystem no part covers gets the identity.  The factors are
+    multiplied in subsystem order, as ``tensor`` of the written-out factors.
+    A part that overlaps another or does not fit FULL_DIMS raises
+    DimensionMismatchError.
+    """
+    factors, k = [], 0
+    for first, op in sorted(parts.items()):
+        if first < k or FULL_DIMS[first:first + len(op.dims)] != op.dims:
+            raise DimensionMismatchError(
+                f"part {op.dims} at subsystem {first} does not fit {FULL_DIMS}")
+        factors += [identity(d) for d in FULL_DIMS[k:first]] + [op]
+        k = first + len(op.dims)
+    return tensor(*factors, *(identity(d) for d in FULL_DIMS[k:]))
 
 
 def expectation(rho, op):

@@ -32,12 +32,13 @@ with sigma_n(t0) = delta_n0 rho0 and L+- = sum_k (1/2) e^{+-i sign(f_k) phi_k} S
 over the tones cos(2 pi f_k t + phi_k), |f_k| = w / 2pi.  Cut at |n| <= ``FLOQUET_ORDER`` this is one
 time-independent generator on 2M+1 copies of the block, whose components
 are finer than the block's, so it is pruned once more to those rho0 touches
-and propagated on the exact path; the run fails if harmonics +-M are not
-negligible.
+and propagated on the exact path.  If harmonics +-M are not negligible, the
+truncated answer is dropped and the block goes to RK45 instead.
 
-Only H with driven terms at several frequencies (the lab frame with several
-carriers, the static frame with two nonzero pair frequencies) is integrated
-with adaptive embedded Runge-Kutta 4(5) (scipy ``solve_ivp``):
+H with driven terms at several frequencies (the lab frame with several
+carriers, the static frame with two nonzero pair frequencies), or with one
+frequency whose Floquet truncation failed, is integrated with adaptive
+embedded Runge-Kutta 4(5) (scipy ``solve_ivp``):
 dv/dt = (L0 + sum_k c_k(t) S_k) v on the block, evaluating every c_k at every
 internal stage.
 """
@@ -178,7 +179,9 @@ def _propagate_exact(gen, v0, times):
 def _propagate_floquet(tones, gen, sups, v0, times):
     """Exact snapshots of dv/dt = (gen + sum_k c_k(t) S_k) v for tones c_k
     that all share one |frequency|, by the truncated Shirley-Floquet
-    generator (module docstring)."""
+    generator (module docstring), and the meta.  The snapshots are None when
+    harmonics +-M exceed ``FLOQUET_TAIL``; the meta then holds only the
+    rejected ``floquet_order`` and ``floquet_tail``."""
     freq = abs(tones[0].freq)
     w = 2.0 * math.pi * freq
     # cos(2 pi f t + phi) with f < 0 is cos(w t - phi): e^{iwt} carries e^{-i phi}
@@ -201,16 +204,14 @@ def _propagate_floquet(tones, gen, sups, v0, times):
     harmonic -= m
     tail = float(np.max(np.abs(vecs[:, np.abs(harmonic) == m]), initial=0.0))
     if tail > FLOQUET_TAIL:
-        raise SolverError(f"Floquet truncation at M={m} is unsafe for the {freq:g} MHz "
-                          f"tone: harmonics +-M reach {tail:.2e} > {FLOQUET_TAIL:g}")
+        return None, {"floquet_order": m, "floquet_tail": tail}
     # rho(t) = sum_n e^{inwt} sigma_n(t), summed one harmonic's columns at a time
     states = np.zeros((len(times), nb), dtype=complex)
     for n in np.unique(harmonic):
         cols = harmonic == n
         states[:, entry[cols]] += np.exp(1j * n * w * times)[:, None] * vecs[:, cols]
-    meta = {"method": "floquet", "block_dim": len(keep), "nfev": 0,
-            "floquet_order": m, "floquet_tail": tail}
-    return states, meta
+    return states, {"method": "floquet", "block_dim": len(keep), "nfev": 0,
+                    "floquet_order": m, "floquet_tail": tail}
 
 
 def _integrate_rk45(tones, gen, sups, v0, times):
@@ -243,8 +244,8 @@ def evolve(h, collapse, rho0, times, validate=True):
     them to the block of vec(rho) that rho0 touches, and hands that block to
     one of three paths (module docstring): exact for a time-independent H,
     Shirley-Floquet for an H whose driven terms all share one |frequency|,
-    RK45 for an H driven at several frequencies.  Entries outside the block
-    stay exactly zero.
+    RK45 for an H driven at several frequencies or whose harmonics +-M are
+    not negligible.  Entries outside the block stay exactly zero.
     Snapshots are renormalized in trace when the drift is below 1e-6,
     otherwise the run errors out.  ``meta`` records the ``method``
     (``"expm"``, ``"expm_multiply"``, ``"floquet"`` or ``"rk45"``), the
@@ -254,7 +255,8 @@ def evolve(h, collapse, rho0, times, validate=True):
     smallest eigenvalue ``min_eigenvalue`` and largest entry of rho - rho^dag
     ``max_hermiticity_deviation`` (one ``validate_state`` call on the whole
     stack).  Floquet runs add ``floquet_order`` M and ``floquet_tail``, the
-    largest entry of harmonics +-M.
+    largest entry of harmonics +-M; an RK45 run after a rejected truncation
+    keeps both.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1 or np.any(np.diff(times) <= 0):
@@ -272,13 +274,15 @@ def evolve(h, collapse, rho0, times, validate=True):
     keep = _touched_block(sum((abs(s) for s in sups), abs(gen)), v0)
     gen, sups, v0 = gen[keep][:, keep], [s[keep][:, keep] for s in sups], v0[keep]
     freqs = {abs(tone.freq) for tone in tones}
+    vecs, meta = None, {}
     if not freqs:
         vecs, method = _propagate_exact(gen, v0, times)
         meta = {"method": method, "block_dim": len(keep), "nfev": 0}
     elif len(freqs) == 1 and 0.0 not in freqs:
         vecs, meta = _propagate_floquet(tones, gen, sups, v0, times)
-    else:
-        vecs, meta = _integrate_rk45(tones, gen, sups, v0, times)
+    if vecs is None:
+        vecs, rk45_meta = _integrate_rk45(tones, gen, sups, v0, times)
+        meta = {**rk45_meta, **meta}
     states = np.zeros((len(times), rho0.dim ** 2), dtype=complex)
     states[:, keep] = vecs
     states = states.reshape(len(times), rho0.dim, rho0.dim)

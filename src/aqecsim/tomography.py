@@ -31,7 +31,7 @@ import numpy as np
 
 from .operators import QQ_DIMS, QUTRIT_LEVELS, DensityMatrix, validate_state
 
-N_OUT = 9
+N_OUT = math.prod(QQ_DIMS)
 N_ROT = 81
 
 _BASIS_LABELS = tuple(a + b for a in QUTRIT_LEVELS for b in QUTRIT_LEVELS)
@@ -77,7 +77,7 @@ class RotationSet:
     def __post_init__(self):
         u = np.asarray(self.unitaries, dtype=complex)
         if u.shape != (N_ROT, N_OUT, N_OUT):
-            raise ValueError(f"expected (81, 9, 9) unitaries, got {u.shape}")
+            raise ValueError(f"expected ({N_ROT}, {N_OUT}, {N_OUT}) unitaries, got {u.shape}")
         gram = np.einsum("kia,kib->kab", u.conj(), u)
         if np.max(np.abs(gram - np.eye(N_OUT))) > 1e-10:
             raise ValueError("rotation set contains a non-unitary element")

@@ -344,6 +344,26 @@ sweep:
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
+def test_main_sweep_past_floquet_truncation(tmp_path):
+    """The aqec red_pair_center offset +0.1 MHz drives one 0.9 MHz tone that
+    needs more than FLOQUET_ORDER harmonics: the sweep runs it on RK45 and
+    exits 0."""
+    text = config.preset_path("aqec").read_text().split("scenario:")[0] + """
+sweep:
+  axis: red_pair_center
+  start: 0.1
+  stop: 0.1
+  num: 1
+  tmax_us: 3.0
+  snapshots: 61
+  initial: gf00
+"""
+    cfg_path = _write(tmp_path, text)
+    assert cli.main(["sweep", str(cfg_path), "--outdir", str(tmp_path)]) == 0
+    n_q1 = np.loadtxt(tmp_path / "sweep_red_pair_center_n_q1.tsv", skiprows=1, ndmin=2)
+    assert n_q1.shape == (1, 62) and np.all(np.isfinite(n_q1))
+
+
 def test_main_sweep_verb(tmp_path, capsys):
     text = FAST_SCENARIO.split("scenario:")[0] + """
 sweep:

@@ -12,8 +12,12 @@ from aqecsim.operators import (
     LabeledOperator,
     basis_index,
     basis_state,
+    destroy,
     expectation,
+    identity,
     ket_projector,
+    number,
+    tensor,
 )
 
 TWOPI = 2.0 * math.pi
@@ -398,3 +402,38 @@ def test_cached_operators_are_read_only():
     again = [c.data for c in model.collapse_operators(cfg.noise)]
     assert len(ops) == len(again)
     assert all(np.array_equal(a, b) for a, b in zip(ops, again))
+
+
+def test_embedded_operators_match_written_out_products():
+    """Every full-space operator built through operators.embed equals the
+    Kronecker product written out factor by factor, entry for entry."""
+    i3, i2 = identity(3), identity(2)
+
+    def transmon(j, op):
+        return tensor(op if j == 1 else i3, op if j == 2 else i3, i2, i2).data
+
+    def resonator(j, op):
+        return tensor(i3, i3, op if j == 1 else i2, op if j == 2 else i2).data
+
+    for a in "gef":
+        for b in "gef":
+            assert np.array_equal(model._p(a + b).data,
+                                  tensor(ket_projector(QQ_DIMS, a + b), i2, i2).data)
+    jumps = [("g", "e"), ("e", "f"), ("e", "g"), ("f", "e"), ("e", "e"), ("f", "f")]
+    for j in (1, 2):
+        assert np.array_equal(model.transmon_number(j).data, transmon(j, number(3)))
+        assert np.array_equal(model.resonator_number(j).data, resonator(j, number(2)))
+        assert np.array_equal(model._resonator_lowering(j).data, resonator(j, destroy(2)))
+        for to, frm in jumps:
+            assert np.array_equal(model._transmon_jump(j, to, frm).data,
+                                  transmon(j, ket_projector((3,), to, frm)))
+    for d in model.DRIVES:
+        op9 = sum(ket_projector(QQ_DIMS, to, frm).data for to, frm in d.transitions)
+        photon = [destroy(2).dag() if d.resonator == j else i2 for j in (1, 2)]
+        assert np.array_equal(model._drive_operator(d).data,
+                              tensor(LabeledOperator(QQ_DIMS, op9), *photon).data)
+    vacuum = np.zeros(4)
+    vacuum[0] = 1.0
+    for label in model.LOGICAL_STATES + tuple(model.ERROR_STATES):
+        amps9 = model.logical_qutrit_state(label).amplitudes
+        assert np.array_equal(model.logical_state(label).amplitudes, np.kron(amps9, vacuum))

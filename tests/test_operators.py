@@ -5,6 +5,7 @@ import pytest
 
 from aqecsim.operators import (
     FULL_DIMS,
+    QQ_DIMS,
     VALIDATE_CHUNK,
     DensityMatrix,
     DimensionMismatchError,
@@ -13,6 +14,7 @@ from aqecsim.operators import (
     basis_index,
     basis_state,
     destroy,
+    embed,
     expectation,
     identity,
     ket_projector,
@@ -53,9 +55,6 @@ def test_tensor_matches_kron_and_tracks_dims():
     op = tensor(destroy(3), identity(2))
     assert op.dims == (3, 2)
     assert np.allclose(op.data, np.kron(destroy(3).data, np.eye(2)))
-    # list form
-    op2 = tensor([destroy(3), identity(2)])
-    assert np.allclose(op.data, op2.data)
 
 
 def test_dimension_mismatch_raises():
@@ -63,8 +62,22 @@ def test_dimension_mismatch_raises():
     b = identity(2)
     with pytest.raises(DimensionMismatchError):
         _ = a + b
+
+
+def test_embed_places_parts_on_full_dims():
+    """A part covers as many subsystems as it has dims and the identity fills
+    the rest; a misfit or an overlap raises."""
+    qq = ket_projector(QQ_DIMS, "gf")
+    op = embed({0: qq, 3: destroy(2)})
+    assert op.dims == FULL_DIMS
+    assert np.array_equal(op.data, tensor(qq, identity(2), destroy(2)).data)
+    assert np.array_equal(embed({}).data, np.eye(36))
     with pytest.raises(DimensionMismatchError):
-        _ = a @ b
+        embed({0: number(2)})
+    with pytest.raises(DimensionMismatchError):
+        embed({3: qq})
+    with pytest.raises(DimensionMismatchError):
+        embed({0: qq, 1: number(3)})
 
 
 def test_operator_shape_validation():
