@@ -13,12 +13,19 @@ of L0 and the S_k that hold a nonzero entry of rho0, hands that block to one
 of three propagators, and scatters their block snapshots back once; every
 other entry of vec(rho) stays exactly zero.
 
-A time-independent H (the fully rotated frame) is propagated exactly on L0.
-Blocks of at most ``DENSE_BLOCK_MAX`` states are exponentiated densely, one
-``expm`` for a uniform snapshot grid or one per step otherwise, and the
-snapshots are advanced with matrix-vector products.  Larger blocks go
-through ``expm_multiply`` (Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-(2011)), which never forms a dense propagator.
+A time-independent H (the fully rotated frame) is propagated exactly on L0,
+by whichever of two methods is predicted to cost less on the block.  Dense
+``expm`` (scaling and squaring, Moler & Van Loan, SIAM Rev. 45, 3 (2003);
+Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)) forms one n x n
+propagator for a uniform snapshot grid, or one per step otherwise, and
+advances the snapshots with matrix-vector products; each propagator costs
+about n^3 (``EXPM_PADE_PRODUCTS`` + s), with s = ceil(log2(||L0 dt||_1 /
+``EXPM_THETA``)) squarings.  ``expm_multiply`` (Al-Mohy & Higham, SIAM J.
+Sci. Comput. 33, 488 (2011)) never forms a propagator; its Taylor terms
+grow with ||L0||_1 (t_end - t0), and every snapshot adds a fixed overhead,
+so it costs about ``MULTIPLY_COST`` (||L0||_1 (t_end - t0) + snapshots).
+Ties go to ``expm_multiply``, and blocks above ``DENSE_BLOCK_MAX`` states
+always take it, for the dense temporaries' memory.
 
 An H whose driven terms all share one frequency w (a single tone, or the
 static frame with one nonzero pair frequency) is propagated exactly too, by
@@ -67,9 +74,20 @@ DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
 DEFAULT_MAX_STEP = 0.01
 TRACE_DRIFT_LIMIT = 1e-6
-# Largest block exponentiated densely.  Above it the dense expm temporaries
-# cost more memory than expm_multiply, and below it expm_multiply is slower.
-DENSE_BLOCK_MAX = 128
+# Largest block exponentiated densely, for memory only: scipy's expm holds
+# about nine n x n complex temporaries (+18.5 MB at n = 366, +32 MB at 500).
+DENSE_BLOCK_MAX = 512
+# Predicted costs of exact propagation, in multiply-adds (module docstring).
+# A degree-13 Pade approximant takes six matrix products and one solve, and
+# is accurate up to ||A||_1 = EXPM_THETA without scaling (Higham 2005).
+# MULTIPLY_COST, the multiply-adds one unit of ||gen||_1 t or one snapshot
+# of expm_multiply is worth, is fitted in log ratio to expm_multiply/expm
+# times of the 281- to 366-state preset and sweep blocks (2 vCPU, one BLAS
+# thread), on which the two methods are 0.4-13x apart; BENCH_15.json holds
+# the predicted and measured ratios of every preset and sweep block.
+EXPM_PADE_PRODUCTS = 7
+EXPM_THETA = 5.37
+MULTIPLY_COST = 4e5
 # Snapshot steps equal to this relative tolerance share one propagator, so an
 # np.linspace grid counts as uniform.
 STEP_RTOL = 1e-12
@@ -150,8 +168,22 @@ def _touched_block(gen, v0):
     return np.flatnonzero(np.isin(label, label[v0 != 0]))
 
 
+def _dense_cheaper(gen, steps, times):
+    """Whether dense expm of ``gen`` over the distinct ``steps`` is predicted
+    to cost less than expm_multiply over ``times`` (module docstring)."""
+    n = gen.shape[0]
+    if n > DENSE_BLOCK_MAX:
+        return False
+    norm = float(abs(gen).sum(axis=0).max())
+    dense = n ** 3 * sum(EXPM_PADE_PRODUCTS + (math.ceil(math.log2(norm * dt / EXPM_THETA))
+                                               if norm * dt > EXPM_THETA else 0)
+                         for dt in steps)
+    return dense < MULTIPLY_COST * (norm * (times[-1] - times[0]) + len(times))
+
+
 def _propagate_exact(gen, v0, times):
-    """Exact snapshots of dv/dt = gen v and the method used.
+    """Exact snapshots of dv/dt = gen v and the method used, dense ``"expm"``
+    or ``"expm_multiply"``, whichever is predicted to cost less.
 
     A grid is uniform when every step equals the first to ``STEP_RTOL``; it
     takes one propagator, otherwise every step takes its own.
@@ -160,7 +192,7 @@ def _propagate_exact(gen, v0, times):
     uniform = np.all(np.abs(steps - steps[:1]) <= STEP_RTOL * steps[:1])
     vecs = np.empty((len(times), len(v0)), dtype=complex)
     vecs[0] = v0
-    if len(v0) <= DENSE_BLOCK_MAX:
+    if _dense_cheaper(gen, steps[:1] if uniform else steps, times):
         dense = gen.toarray()
         # one dense propagator alive at a time
         prop = expm(dense * steps[0]) if uniform and len(steps) else None
@@ -181,7 +213,7 @@ def _propagate_floquet(tones, gen, sups, v0, times):
     that all share one |frequency|, by the truncated Shirley-Floquet
     generator (module docstring), and the meta.  The snapshots are None when
     harmonics +-M exceed ``FLOQUET_TAIL``; the meta then holds only the
-    rejected ``floquet_order`` and ``floquet_tail``."""
+    rejected ``floquet_order``, ``floquet_tail`` and ``stack_method``."""
     freq = abs(tones[0].freq)
     w = 2.0 * math.pi * freq
     # cos(2 pi f t + phi) with f < 0 is cos(w t - phi): e^{iwt} carries e^{-i phi}
@@ -199,19 +231,19 @@ def _propagate_floquet(tones, gen, sups, v0, times):
     ext[m * nb:(m + 1) * nb] = v0
     # the stack's components are finer than the block's: prune them too
     keep = _touched_block(stack, ext)
-    vecs, _ = _propagate_exact(stack[keep][:, keep], ext[keep], times)
+    vecs, stack_method = _propagate_exact(stack[keep][:, keep], ext[keep], times)
     harmonic, entry = np.divmod(keep, nb)
     harmonic -= m
     tail = float(np.max(np.abs(vecs[:, np.abs(harmonic) == m]), initial=0.0))
+    stack_meta = {"floquet_order": m, "floquet_tail": tail, "stack_method": stack_method}
     if tail > FLOQUET_TAIL:
-        return None, {"floquet_order": m, "floquet_tail": tail}
+        return None, stack_meta
     # rho(t) = sum_n e^{inwt} sigma_n(t), summed one harmonic's columns at a time
     states = np.zeros((len(times), nb), dtype=complex)
     for n in np.unique(harmonic):
         cols = harmonic == n
         states[:, entry[cols]] += np.exp(1j * n * w * times)[:, None] * vecs[:, cols]
-    return states, {"method": "floquet", "block_dim": len(keep), "nfev": 0,
-                    "floquet_order": m, "floquet_tail": tail}
+    return states, {"method": "floquet", "block_dim": len(keep), "nfev": 0, **stack_meta}
 
 
 def _integrate_rk45(tones, gen, sups, v0, times):
@@ -248,15 +280,17 @@ def evolve(h, collapse, rho0, times, validate=True):
     not negligible.  Entries outside the block stay exactly zero.
     Snapshots are renormalized in trace when the drift is below 1e-6,
     otherwise the run errors out.  ``meta`` records the ``method``
-    (``"expm"``, ``"expm_multiply"``, ``"floquet"`` or ``"rk45"``), the
+    (``"expm"`` or ``"expm_multiply"``, whichever is predicted to cost less
+    on the block, ``"floquet"`` or ``"rk45"``), the
     propagated ``block_dim`` of vec(rho) (of the 2M+1 stacked harmonics for
     Floquet), the RHS evaluations ``nfev`` (0 when exact),
     ``max_trace_drift`` and, when ``validate``, the renormalized snapshots'
     smallest eigenvalue ``min_eigenvalue`` and largest entry of rho - rho^dag
     ``max_hermiticity_deviation`` (one ``validate_state`` call on the whole
-    stack).  Floquet runs add ``floquet_order`` M and ``floquet_tail``, the
-    largest entry of harmonics +-M; an RK45 run after a rejected truncation
-    keeps both.
+    stack).  Floquet runs add ``floquet_order`` M, ``floquet_tail``, the
+    largest entry of harmonics +-M, and ``stack_method``, the exact method
+    (``"expm"`` or ``"expm_multiply"``) the harmonic stack took; an RK45 run
+    after a rejected truncation keeps all three.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1 or np.any(np.diff(times) <= 0):

@@ -99,10 +99,6 @@ def _preset(arm):
     return cfg, h, model.collapse_operators(cfg.noise)
 
 
-def _method(block_dim):
-    return "expm" if block_dim <= solver.DENSE_BLOCK_MAX else "expm_multiply"
-
-
 def _reduced(h, collapse, v0):
     """The block of vec(rho) that v0 touches, reduced as ``evolve`` reduces
     it: its indices, H's tones, and the generator and the driven terms'
@@ -137,7 +133,8 @@ def test_exact_propagation_matches_rk45(arm, tmax, snapshots):
         traj = solver.evolve(h, collapse, rho0, times)
         block = PRESET_BLOCKS[arm][initial]
         assert traj.meta["block_dim"] == block
-        assert traj.meta["method"] == _method(block)
+        # 1.5 us of the aqec block costs expm_multiply less than one dense expm
+        assert traj.meta["method"] == ("expm_multiply" if arm == "aqec" else "expm")
         assert traj.meta["nfev"] == 0
         v0 = rho0.data.astype(complex).ravel()
         keep, tones, gen, sups = _reduced(h, collapse, v0)
@@ -150,15 +147,16 @@ def test_exact_propagation_matches_rk45(arm, tmax, snapshots):
 
 @pytest.mark.parametrize("arm, initial", [("free_decay", "Lx"), ("aqec", "L0")])
 def test_block_reduction_matches_full_liouvillian(arm, initial):
-    """The block that rho0 touches carries the whole evolution: the result
-    equals expm_multiply on the full, unreduced 1296^2 Liouvillian."""
+    """The block that rho0 touches carries the whole evolution: the result,
+    dense expm on both preset blocks, equals expm_multiply on the full,
+    unreduced 1296^2 Liouvillian."""
     cfg, h, collapse = _preset(arm)
     times = np.linspace(0.0, cfg.scenario.tmax_us, cfg.scenario.snapshots)
     rho0 = model.logical_state(initial).to_density()
     traj = solver.evolve(h, collapse, rho0, times)
     block = PRESET_BLOCKS[arm][initial]
     assert traj.meta["block_dim"] == block
-    assert traj.meta["method"] == _method(block)
+    assert traj.meta["method"] == "expm"
     gen = solver.liouvillian(h, collapse)
     assert gen.shape == (36 * 36, 36 * 36)
     full = expm_multiply(gen, rho0.data.ravel().astype(complex), start=0.0,
@@ -168,6 +166,8 @@ def test_block_reduction_matches_full_liouvillian(arm, initial):
 
 @pytest.mark.parametrize("arm, initial", [("free_decay", "Lx"), ("aqec", "L0")])
 def test_non_uniform_grid_matches_uniform_grid(arm, initial):
+    """Four distinct steps take expm_multiply and 50 equal steps one dense
+    propagator, on both blocks; the shared snapshots agree."""
     _, h, collapse = _preset(arm)
     rho0 = model.logical_state(initial).to_density()
     grid = np.array([0.0, 0.1, 0.35, 1.0, 2.5])
@@ -176,7 +176,8 @@ def test_non_uniform_grid_matches_uniform_grid(arm, initial):
     a = solver.evolve(h, collapse, rho0, grid)
     b = solver.evolve(h, collapse, rho0, uniform)
     block = PRESET_BLOCKS[arm][initial]
-    assert a.meta["method"] == b.meta["method"] == _method(block)
+    assert a.meta["method"] == "expm_multiply"
+    assert b.meta["method"] == "expm"
     assert a.meta["block_dim"] == b.meta["block_dim"] == block
     assert np.max(np.abs(a.states - b.states[shared])) <= 1e-10
 
@@ -206,7 +207,7 @@ def test_uniform_grid_takes_one_propagator(monkeypatch):
     cases = [("expm", h_free, collapse_free, "Lx",
               np.linspace(0.0, cfg.scenario.tmax_us, 1081), 1),
              ("expm_multiply", h_aqec, collapse_aqec, "L0", np.linspace(0.0, 1.5, 7), 1),
-             ("expm", h_free, collapse_free, "Lx", grid, 4),
+             ("expm", h_free, collapse_free, "L0", grid, 4),
              ("expm_multiply", h_aqec, collapse_aqec, "L0", grid, 4)]
     for method, h, collapse, initial, times, count in cases:
         calls.update(expm=0, expm_multiply=0)
@@ -214,6 +215,56 @@ def test_uniform_grid_takes_one_propagator(monkeypatch):
         assert traj.meta["method"] == method
         assert calls == {"expm": 0, "expm_multiply": 0, method: count}
     assert len(returned) == 1 + 4 and most_alive[0] <= 2
+
+
+def _dense_cheaper_on(h, collapse, psi, steps, times):
+    """The cost rule's choice, over the distinct ``steps`` of ``times``, for
+    the block of vec(rho) that psi touches."""
+    v0 = psi.to_density().data.astype(complex).ravel()
+    _, _, gen, _ = _reduced(h, collapse, v0)
+    return solver._dense_cheaper(gen, steps, times)
+
+
+def test_exact_method_by_cost(monkeypatch):
+    """The cost rule picks dense expm where it is clearly faster (the preset
+    grids: 8-160x on 2 vCPU) and expm_multiply where it is (four distinct
+    steps on the 366-state aqec block: expm 2-3x slower); a block above the
+    memory cap takes expm_multiply even where the rule favours expm.
+    Both methods agree on the aqec block over 27 us and on the lossy red
+    Floquet stack."""
+    for arm in ("free_decay", "echo_4qq", "aqec"):
+        cfg, h, collapse = _preset(arm)
+        times = np.linspace(0.0, cfg.scenario.tmax_us, cfg.scenario.snapshots)
+        for initial in LOGICAL:
+            assert _dense_cheaper_on(h, collapse, model.logical_state(initial),
+                                     np.diff(times)[:1], times)
+    _, h_aqec, collapse_aqec = _preset("aqec")
+    grid = np.array([0.0, 0.1, 0.35, 1.0, 2.5])
+    assert not _dense_cheaper_on(h_aqec, collapse_aqec, model.logical_state("L0"),
+                                 np.diff(grid), grid)
+    full = solver.liouvillian(h_aqec, collapse_aqec)
+    long_window = np.linspace(0.0, 270.0, 1081)
+    assert full.shape[0] > solver.DENSE_BLOCK_MAX
+    assert not solver._dense_cheaper(full, long_window[1:2], long_window)
+    monkeypatch.setattr(solver, "DENSE_BLOCK_MAX", full.shape[0])
+    assert solver._dense_cheaper(full, long_window[1:2], long_window)
+    monkeypatch.undo()
+
+    cfg = config.load_preset("echo_4qq")
+    h_red, collapse_red = _red_sweep_hamiltonian(cfg.drive.nu_r + 0.5)
+    cases = [(h_aqec, collapse_aqec, model.logical_state("L0"), np.linspace(0.0, 27.0, 109),
+              "method"),
+             (h_red, collapse_red, basis_state(FULL_DIMS, "gf00"), np.linspace(0.0, 6.0, 121),
+              "stack_method")]
+    for h, collapse, psi, times, key in cases:
+        rho0 = psi.to_density()
+        chosen = solver.evolve(h, collapse, rho0, times, validate=False)
+        assert chosen.meta[key] == "expm"
+        monkeypatch.setattr(solver, "_dense_cheaper", lambda gen, steps, times: False)
+        other = solver.evolve(h, collapse, rho0, times, validate=False)
+        monkeypatch.undo()
+        assert other.meta[key] == "expm_multiply"
+        assert np.max(np.abs(chosen.states - other.states)) <= 1e-12
 
 
 def _random_density(rng, dim):
@@ -485,6 +536,7 @@ def test_floquet_truncation_guard(monkeypatch):
     assert traj.meta["method"] == "rk45" and traj.meta["nfev"] > 0
     assert traj.meta["floquet_order"] == 1
     assert traj.meta["floquet_tail"] > solver.FLOQUET_TAIL
+    assert traj.meta["stack_method"] == "expm"
     ref = _dop853_reference(h, collapse, rho0, times)
     assert np.max(np.abs(traj.states - ref)) <= 1e-6
 
