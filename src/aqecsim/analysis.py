@@ -175,12 +175,18 @@ def coherence_metric(rho, label):
 # ---------------------------------------------------------------------------
 # exponential fitting
 
+# Largest fitted tau, in units of the fitted span, that counts as identified.
+TAU_SPAN_MAX = 100.0
+
+
 def fit_exponential(t, y, skip_initial=0.0, p0=None):
     """Least-squares fit of A*exp(-t/tau) + C with all three parameters free.
 
     Samples with t < skip_initial are excluded (at least 4 must remain).
-    ``sigma_tau`` comes from the fit covariance.  Constant data raises
-    :class:`FitError` (tau unidentifiable).
+    ``sigma_tau`` comes from the fit covariance.  Constant data, a growing
+    exponential (tau < 0) and tau above ``TAU_SPAN_MAX`` times the fitted
+    span (a decay the window cannot resolve, also what a growing series
+    fitted from the default start converges to) raise :class:`FitError`.
     """
     t = np.asarray(t, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -196,8 +202,8 @@ def fit_exponential(t, y, skip_initial=0.0, p0=None):
     def f(tt, a, tau, c):
         return a * np.exp(-tt / tau) + c
 
+    span = tf[-1] - tf[0]
     if p0 is None:
-        span = tf[-1] - tf[0]
         p0 = (yf[0] - yf[-1], max(span / 3.0, 1e-3), yf[-1])
     try:
         popt, pcov = curve_fit(f, tf, yf, p0=p0, maxfev=20000)
@@ -206,6 +212,9 @@ def fit_exponential(t, y, skip_initial=0.0, p0=None):
     a, tau, c = popt
     if tau < 0:  # exp(-t/tau) with tau<0 is a growth fit of -A; renormalize
         raise FitError(f"fit converged to a growing exponential (tau={tau:.3g})")
+    if tau > TAU_SPAN_MAX * span:
+        raise FitError(f"fitted tau={tau:.3g} exceeds {TAU_SPAN_MAX:g}x the fitted "
+                       f"span {span:.3g}: decay constant unidentifiable")
     sigma_tau = float(np.sqrt(pcov[1, 1])) if np.isfinite(pcov[1, 1]) else 0.0
     resid = float(np.linalg.norm(f(tf, *popt) - yf))
     return DecayFit(float(a), float(tau), float(c), sigma_tau, resid)

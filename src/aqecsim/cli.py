@@ -109,16 +109,21 @@ def run_scenario(config_token, outdir=".", initial=None, baseline=None):
 
     skip = sc.fit_skip_us
     if np.count_nonzero(times >= skip) >= 4:
-        fit = analysis.fit_exponential(times, coh, skip_initial=skip)
         entries.append(("fit_skip_initial_us", float(skip)))
-        entries.extend((f"fit_{k}", v) for k, v in fit.summary_fields().items())
-        if baseline:
-            base = _read_summary(baseline)
-            if "fit_tau_us" not in base:
-                raise ConfigError(f"baseline summary {baseline!r} has no fit_tau_us")
-            tau_b = float(base["fit_tau_us"])
-            entries.append(("baseline_tau_us", tau_b))
-            entries.append(("improvement_factor", fit.tau / tau_b))
+        try:
+            fit = analysis.fit_exponential(times, coh, skip_initial=skip)
+        except analysis.FitError as exc:
+            # the series is already written; the summary says why it has no tau
+            entries.append(("fit_error", str(exc)))
+        else:
+            entries.extend((f"fit_{k}", v) for k, v in fit.summary_fields().items())
+            if baseline:
+                base = _read_summary(baseline)
+                if "fit_tau_us" not in base:
+                    raise ConfigError(f"baseline summary {baseline!r} has no fit_tau_us")
+                tau_b = float(base["fit_tau_us"])
+                entries.append(("baseline_tau_us", tau_b))
+                entries.append(("improvement_factor", fit.tau / tau_b))
 
     if sc.tomography is not None:
         tset = tomography.rotation_set()

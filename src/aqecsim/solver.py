@@ -36,16 +36,21 @@ H(t) = H0 + H+ e^{iwt} + H- e^{-iwt} and rho(t) = sum_n e^{inwt} sigma_n(t),
     sigma_n' = (L0 - inw) sigma_n + L+ sigma_{n-1} + L- sigma_{n+1},
 
 with sigma_n(t0) = delta_n0 rho0 and L+- = sum_k (1/2) e^{+-i sign(f_k) phi_k} S_k
-over the tones cos(2 pi f_k t + phi_k), |f_k| = w / 2pi.  Cut at |n| <= ``FLOQUET_ORDER`` this is one
-time-independent generator on 2M+1 copies of the block, whose components
-are finer than the block's, so it is pruned once more to those rho0 touches
-and propagated on the exact path.  If harmonics +-M are not negligible, the
-truncated answer is dropped and the block goes to RK45 instead.
+over the tones cos(2 pi f_k t + phi_k), |f_k| = w / 2pi.  Cut at |n| <= M
+this is one time-independent generator on 2M+1 copies of the block, whose
+components are finer than the block's, so it is pruned once more to those
+rho0 touches and propagated on the exact path.  M grows from ``FLOQUET_FIRST_ORDER`` in
+steps of two up to ``FLOQUET_ORDER``, and the first truncation whose
+harmonics +-M are negligible is the answer.  If none is, or if a pruned
+stack holds more than ``DENSE_BLOCK_MAX`` states (it is then not
+propagated: a larger M only grows it, and on the aqec stacks of that size
+RK45 on the block was as fast or faster; see the constant), the block goes
+to RK45 instead.
 
 H with driven terms at several frequencies (the lab frame with several
 carriers, the static frame with two nonzero pair frequencies), or with one
-frequency whose Floquet truncation failed, is integrated with adaptive
-embedded Runge-Kutta 4(5) (scipy ``solve_ivp``):
+frequency whose Floquet stack failed or grew too large, is integrated with
+adaptive embedded Runge-Kutta 4(5) (scipy ``solve_ivp``):
 dv/dt = (L0 + sum_k c_k(t) S_k) v on the block, evaluating every c_k at every
 internal stage.
 """
@@ -74,8 +79,13 @@ DEFAULT_RTOL = 1e-8
 DEFAULT_ATOL = 1e-10
 DEFAULT_MAX_STEP = 0.01
 TRACE_DRIFT_LIMIT = 1e-6
-# Largest block exponentiated densely, for memory only: scipy's expm holds
-# about nine n x n complex temporaries (+18.5 MB at n = 366, +32 MB at 500).
+# Two jobs.  The largest block exponentiated densely, for memory: scipy's expm
+# holds about nine n x n complex temporaries (+18.5 MB at n = 366, +32 MB at
+# 500).  And the largest pruned Floquet stack propagated at all; a larger one
+# sends the block to RK45.  On single-tone aqec blocks with 1,668- to
+# 3,132-state stacks, RK45 was 1.8-3.6x faster than the order search, and no
+# slower than the passing order alone, on expm_multiply; it agreed with
+# DOP853 to 7.5e-8 against Floquet's 4e-9 (BENCH_16.json).
 DENSE_BLOCK_MAX = 512
 # Predicted costs of exact propagation, in multiply-adds (module docstring).
 # A degree-13 Pade approximant takes six matrix products and one solve, and
@@ -91,8 +101,11 @@ MULTIPLY_COST = 4e5
 # Snapshot steps equal to this relative tolerance share one propagator, so an
 # np.linspace grid counts as uniform.
 STEP_RTOL = 1e-12
-# Harmonics kept on each side of a single-frequency H, and the largest entry
-# harmonics +-FLOQUET_ORDER may reach before the truncation counts as unsafe.
+# Harmonics kept on each side of a single-frequency H: the first and the
+# largest order tried (steps of two; an odd step barely lowers the tail), and
+# the largest entry harmonics +-M may reach before the truncation counts as
+# unsafe.
+FLOQUET_FIRST_ORDER = 4
 FLOQUET_ORDER = 8
 FLOQUET_TAIL = 1e-10
 
@@ -211,33 +224,39 @@ def _propagate_exact(gen, v0, times):
 def _propagate_floquet(tones, gen, sups, v0, times):
     """Exact snapshots of dv/dt = (gen + sum_k c_k(t) S_k) v for tones c_k
     that all share one |frequency|, by the truncated Shirley-Floquet
-    generator (module docstring), and the meta.  The snapshots are None when
-    harmonics +-M exceed ``FLOQUET_TAIL``; the meta then holds only the
-    rejected ``floquet_order``, ``floquet_tail`` and ``stack_method``."""
+    generator (module docstring) at the first order M that passes, and the
+    meta.  The snapshots are None when no order passes or a pruned stack
+    exceeds ``DENSE_BLOCK_MAX``; the meta then says why (``evolve``)."""
     freq = abs(tones[0].freq)
     w = 2.0 * math.pi * freq
     # cos(2 pi f t + phi) with f < 0 is cos(w t - phi): e^{iwt} carries e^{-i phi}
     coefs = [0.5 * np.exp(1j * np.sign(tone.freq) * tone.phase) for tone in tones]
     s_plus = sum(c * s for c, s in zip(coefs, sups))
     s_minus = sum(np.conj(c) * s for c, s in zip(coefs, sups))
-    m = FLOQUET_ORDER
     nb = len(v0)
-    stack = (sp.kron(sp.identity(2 * m + 1), gen)
-             + sp.kron(sp.diags(-1j * w * np.arange(-m, m + 1)), sp.identity(nb))
-             + sp.kron(sp.eye(2 * m + 1, k=-1), s_plus)
-             + sp.kron(sp.eye(2 * m + 1, k=1), s_minus)).tocsr()
-    stack.eliminate_zeros()
-    ext = np.zeros((2 * m + 1) * nb, dtype=complex)
-    ext[m * nb:(m + 1) * nb] = v0
-    # the stack's components are finer than the block's: prune them too
-    keep = _touched_block(stack, ext)
-    vecs, stack_method = _propagate_exact(stack[keep][:, keep], ext[keep], times)
-    harmonic, entry = np.divmod(keep, nb)
-    harmonic -= m
-    tail = float(np.max(np.abs(vecs[:, np.abs(harmonic) == m]), initial=0.0))
-    stack_meta = {"floquet_order": m, "floquet_tail": tail, "stack_method": stack_method}
-    if tail > FLOQUET_TAIL:
-        return None, stack_meta
+    for m in [*range(FLOQUET_FIRST_ORDER, FLOQUET_ORDER, 2), FLOQUET_ORDER]:
+        stack = (sp.kron(sp.identity(2 * m + 1), gen)
+                 + sp.kron(sp.diags(-1j * w * np.arange(-m, m + 1)), sp.identity(nb))
+                 + sp.kron(sp.eye(2 * m + 1, k=-1), s_plus)
+                 + sp.kron(sp.eye(2 * m + 1, k=1), s_minus)).tocsr()
+        stack.eliminate_zeros()
+        ext = np.zeros((2 * m + 1) * nb, dtype=complex)
+        ext[m * nb:(m + 1) * nb] = v0
+        # the stack's components are finer than the block's: prune them too
+        keep = _touched_block(stack, ext)
+        if len(keep) > DENSE_BLOCK_MAX:
+            # larger orders only grow the stack
+            return None, {"floquet_order": m, "stack_dim": len(keep),
+                          "floquet_rejected": "stack_dim"}
+        vecs, stack_method = _propagate_exact(stack[keep][:, keep], ext[keep], times)
+        harmonic, entry = np.divmod(keep, nb)
+        harmonic -= m
+        tail = float(np.max(np.abs(vecs[:, np.abs(harmonic) == m]), initial=0.0))
+        stack_meta = {"floquet_order": m, "floquet_tail": tail, "stack_method": stack_method}
+        if tail <= FLOQUET_TAIL:
+            break
+    else:
+        return None, {**stack_meta, "floquet_rejected": "tail"}
     # rho(t) = sum_n e^{inwt} sigma_n(t), summed one harmonic's columns at a time
     states = np.zeros((len(times), nb), dtype=complex)
     for n in np.unique(harmonic):
@@ -276,8 +295,10 @@ def evolve(h, collapse, rho0, times, validate=True):
     them to the block of vec(rho) that rho0 touches, and hands that block to
     one of three paths (module docstring): exact for a time-independent H,
     Shirley-Floquet for an H whose driven terms all share one |frequency|,
-    RK45 for an H driven at several frequencies or whose harmonics +-M are
-    not negligible.  Entries outside the block stay exactly zero.
+    RK45 for an H driven at several frequencies, or at one frequency whose
+    harmonics +-M are not negligible at any order tried or whose pruned
+    harmonic stack exceeds ``DENSE_BLOCK_MAX`` states.  Entries outside the
+    block stay exactly zero.
     Snapshots are renormalized in trace when the drift is below 1e-6,
     otherwise the run errors out.  ``meta`` records the ``method``
     (``"expm"`` or ``"expm_multiply"``, whichever is predicted to cost less
@@ -287,10 +308,16 @@ def evolve(h, collapse, rho0, times, validate=True):
     ``max_trace_drift`` and, when ``validate``, the renormalized snapshots'
     smallest eigenvalue ``min_eigenvalue`` and largest entry of rho - rho^dag
     ``max_hermiticity_deviation`` (one ``validate_state`` call on the whole
-    stack).  Floquet runs add ``floquet_order`` M, ``floquet_tail``, the
-    largest entry of harmonics +-M, and ``stack_method``, the exact method
-    (``"expm"`` or ``"expm_multiply"``) the harmonic stack took; an RK45 run
-    after a rejected truncation keeps all three.
+    stack).  Floquet runs add ``floquet_order``, the order M used (the
+    smallest of ``FLOQUET_FIRST_ORDER``, +2, ..., ``FLOQUET_ORDER`` whose
+    harmonics pass), ``floquet_tail``, the largest entry of harmonics +-M,
+    and ``stack_method``, the exact method (``"expm"`` or
+    ``"expm_multiply"``) the harmonic stack took.  An RK45 run of a
+    single-frequency H says why in ``floquet_rejected``: ``"tail"`` when
+    harmonics +-``FLOQUET_ORDER`` still exceed ``FLOQUET_TAIL`` (it keeps
+    that order's ``floquet_order``, ``floquet_tail`` and ``stack_method``),
+    ``"stack_dim"`` when the pruned stack at ``floquet_order`` holds
+    ``stack_dim`` > ``DENSE_BLOCK_MAX`` states and was never propagated.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or len(times) < 1 or np.any(np.diff(times) <= 0):

@@ -138,6 +138,10 @@ def test_fit_exponential_failure_modes():
         # growth data with a growth-shaped starting point converges to a
         # negative decay constant, which is rejected
         analysis.fit_exponential(t, np.exp(t / 5.0), p0=(1.0, -5.0, 0.0))
+    with pytest.raises(analysis.FitError, match="exceeds 100x the fitted span"):
+        # from the default start the same growth data converge to tau far
+        # beyond the window (2.8e5 us over a 10 us span)
+        analysis.fit_exponential(t, np.exp(t / 5.0))
     with pytest.raises(ValueError):
         analysis.fit_exponential(t, np.exp(-t), skip_initial=9.9)
     with pytest.raises(ValueError):

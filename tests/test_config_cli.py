@@ -223,6 +223,22 @@ def test_run_scenario_zero_duration(tmp_path):
     assert [p.name for p in out.glob("*_tomogram_*")] == ["fast_L1_tomogram_0.tsv"]
 
 
+def test_run_scenario_unidentifiable_fit(tmp_path):
+    """A 0.02 us window is under 1/100 of the fitted tau (about 3 us): the
+    fit raises FitError, and the run still writes its series and a summary
+    that says why it has no tau."""
+    text = FAST_SCENARIO.replace("tmax_us: 4.0", "tmax_us: 0.02")
+    base_path = tmp_path / "base_summary.txt"
+    cli._write_summary(base_path, [("fit_tau_us", 2.0)])
+    summary = cli.run_scenario(_write(tmp_path, text), tmp_path / "out",
+                               baseline=str(base_path))
+    entries = cli._read_summary(summary)
+    assert "exceeds 100x the fitted span" in entries["fit_error"]
+    assert "fit_tau_us" not in entries and "improvement_factor" not in entries
+    assert float(entries["coherence_final"]) < 1.0
+    assert np.loadtxt(tmp_path / "out" / "fast_L1_series.tsv", skiprows=1).shape == (17, 5)
+
+
 def test_run_scenario_baseline_improvement(tmp_path):
     cfg_path = _write(tmp_path, FAST_SCENARIO)
     base_path = tmp_path / "base_summary.txt"
@@ -345,9 +361,9 @@ sweep:
 
 
 def test_main_sweep_past_floquet_truncation(tmp_path):
-    """The aqec red_pair_center offset +0.1 MHz drives one 0.9 MHz tone that
-    needs more than FLOQUET_ORDER harmonics: the sweep runs it on RK45 and
-    exits 0."""
+    """The aqec red_pair_center offset +0.1 MHz drives one 0.9 MHz tone whose
+    Floquet stack exceeds DENSE_BLOCK_MAX at every order tried: the sweep
+    runs it on RK45 and exits 0."""
     text = config.preset_path("aqec").read_text().split("scenario:")[0] + """
 sweep:
   axis: red_pair_center

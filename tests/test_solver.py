@@ -360,15 +360,14 @@ def test_generator_assembly_matches_kron_sum():
     _assert_same_superoperator(solver._commutator(extra), _kron_commutator(extra))
 
 
-def _full_stack_floquet(h, collapse, v0, times):
-    """Shirley-Floquet snapshots from the stack of all 2M+1 copies of the
-    1296 states, assembled from sequential Kronecker sums: the block
-    dimension, the snapshots of vec(rho) and the largest entry of
-    harmonics +-M."""
+def _full_stack_floquet(h, collapse, v0, times, m):
+    """Shirley-Floquet snapshots at order M = ``m`` from the stack of all
+    2M+1 copies of the 1296 states, assembled from sequential Kronecker
+    sums: the block dimension, the snapshots of vec(rho) and the largest
+    entry of harmonics +-M."""
     w = TWOPI * abs(h.driven[0][0].freq)
     h_plus = sum(0.5 * np.exp(1j * np.sign(tone.freq) * tone.phase) * op.data
                  for tone, op in h.driven)
-    m = solver.FLOQUET_ORDER
     d2 = len(v0)
     gen = (sp.kron(sp.identity(2 * m + 1), _kron_sum_generator(h.constant.data, collapse))
            + sp.kron(sp.diags(-1j * w * np.arange(-m, m + 1)), sp.identity(d2))
@@ -389,24 +388,39 @@ def _full_stack_floquet(h, collapse, v0, times):
     return len(keep), states, tail
 
 
+def _benchmark_sweep_case(axis, freq):
+    """H, collapse operators, initial state and grid of one offset of the
+    benchmark's chevron workload (seed-free drive and noise): the lossless
+    qr_frequency chevron from E01, or the lossy red_pair_center sweep from
+    gf00 with the red pair at ``freq`` MHz."""
+    if axis == "qr_frequency":
+        cfg = config.load_preset("echo_4qq")
+        h = model.build_static_hamiltonian(cfg.device, model.DriveConfig(omega_qr1=1.0),
+                                           qr_offset=freq)
+        return h, [], model.logical_state("E01"), np.linspace(0.0, 6.0, 241)
+    h, collapse = _red_sweep_hamiltonian(freq)
+    return h, collapse, basis_state(FULL_DIMS, "gf00"), np.linspace(0.0, 6.0, 121)
+
+
 def test_floquet_base_block_matches_full_stack():
     """The Floquet stack built on the block that rho0 touches gives the
-    block, snapshots and tail of the stack on all 1296 states, for the
-    lossless qr_frequency and the lossy red_pair_center sweep of the
-    benchmark's chevron workload."""
-    cfg = config.load_preset("echo_4qq")
-    h_qr = model.build_static_hamiltonian(cfg.device, model.DriveConfig(omega_qr1=1.0),
-                                          qr_offset=0.5)
-    h_red, collapse_red = _red_sweep_hamiltonian(cfg.drive.nu_r + 0.5)
-    cases = [(h_qr, [], model.logical_state("E01"), 34, np.linspace(0.0, 6.0, 241)),
-             (h_red, collapse_red, basis_state(FULL_DIMS, "gf00"), 281,
-              np.linspace(0.0, 6.0, 121))]
-    for h, collapse, psi0, block, times in cases:
+    block, snapshots and tail of the stack on all 1296 states at the order
+    the solver chose, for the lossless qr_frequency and the lossy
+    red_pair_center sweep of the benchmark's chevron workload: M = 4 on the
+    qr offset and the red pair at nu_r + 0.5 MHz, M = 6 (after a rejected
+    M = 4) with the red pair at 0.5 MHz."""
+    nu_r = config.load_preset("echo_4qq").drive.nu_r
+    for axis, freq, order, block in (("qr_frequency", 0.5, 4, 18),
+                                     ("red_pair_center", nu_r + 0.5, 4, 149),
+                                     ("red_pair_center", 0.5, 6, 215)):
+        h, collapse, psi0, times = _benchmark_sweep_case(axis, freq)
         v0 = psi0.to_density().data.ravel()
         keep, tones, gen, sups = _reduced(h, collapse, v0)
         vecs, meta = solver._propagate_floquet(tones, gen, sups, v0[keep], times)
         states = _scatter(keep, vecs, len(v0))
-        ref_block, ref_states, ref_tail = _full_stack_floquet(h, collapse, v0, times)
+        ref_block, ref_states, ref_tail = _full_stack_floquet(h, collapse, v0, times,
+                                                              meta["floquet_order"])
+        assert meta["floquet_order"] == order
         assert meta["block_dim"] == ref_block == block
         assert np.max(np.abs(states - ref_states)) <= 1e-12
         assert abs(meta["floquet_tail"] - ref_tail) <= 1e-15
@@ -475,9 +489,9 @@ def test_floquet_matches_dop853_on_red_sweep(red_freq):
     times = np.linspace(0.0, 2.0, 41)
     traj = solver.evolve(h, collapse, rho0, times)
     assert traj.meta["method"] == "floquet" and traj.meta["nfev"] == 0
-    assert traj.meta["floquet_order"] == solver.FLOQUET_ORDER
+    assert traj.meta["floquet_order"] in (4, 6, 8)
     assert traj.meta["floquet_tail"] <= solver.FLOQUET_TAIL
-    assert traj.meta["block_dim"] < (2 * solver.FLOQUET_ORDER + 1) * 36 * 36
+    assert traj.meta["block_dim"] < (2 * traj.meta["floquet_order"] + 1) * 36 * 36
     ref = _dop853_reference(h, collapse, rho0, times)
     assert np.max(np.abs(traj.states - ref)) <= 1e-8
 
@@ -527,18 +541,77 @@ def test_validation_meta_matches_per_snapshot_eigvalsh(device, full_drive):
 
 def test_floquet_truncation_guard(monkeypatch):
     """Too few harmonics for the drive send the block to RK45 instead of
-    returning a truncated answer; the meta keeps the rejected M and tail."""
+    returning a truncated answer; the meta keeps the rejected M and tail.
+    With ``FLOQUET_ORDER`` below ``FLOQUET_FIRST_ORDER``, M = 1 is the only
+    order tried."""
     h, collapse = _red_sweep_hamiltonian(0.5)
     rho0 = basis_state(FULL_DIMS, "gf00").to_density()
     times = np.linspace(0.0, 1.0, 5)
     monkeypatch.setattr(solver, "FLOQUET_ORDER", 1)
     traj = solver.evolve(h, collapse, rho0, times)
     assert traj.meta["method"] == "rk45" and traj.meta["nfev"] > 0
+    assert traj.meta["floquet_rejected"] == "tail"
     assert traj.meta["floquet_order"] == 1
     assert traj.meta["floquet_tail"] > solver.FLOQUET_TAIL
     assert traj.meta["stack_method"] == "expm"
     ref = _dop853_reference(h, collapse, rho0, times)
     assert np.max(np.abs(traj.states - ref)) <= 1e-6
+
+
+@pytest.mark.parametrize("axis, freq, order", [
+    ("red_pair_center", 0.5, 6),
+    ("red_pair_center", 1.0, 6),
+    ("red_pair_center", 1.5, 4),
+    ("red_pair_center", 2.0, 4),
+    ("red_pair_center", 2.5, 4),
+    ("qr_frequency", 0.5, 4),
+])
+def test_floquet_order_is_smallest_that_passes(axis, freq, order):
+    """On the benchmark's sweep offsets the solver takes the smallest of
+    M = 4, 6, 8 whose harmonics +-M pass the tail test; at the next smaller
+    even order, where one is tried, the full-stack reference fails it."""
+    h, collapse, psi0, times = _benchmark_sweep_case(axis, freq)
+    assert (solver.FLOQUET_FIRST_ORDER, solver.FLOQUET_ORDER) == (4, 8)
+    v0 = psi0.to_density().data.ravel()
+    keep, tones, gen, sups = _reduced(h, collapse, v0)
+    _, meta = solver._propagate_floquet(tones, gen, sups, v0[keep], times)
+    assert meta["method"] == "floquet" and meta["floquet_order"] == order
+    assert meta["floquet_tail"] <= solver.FLOQUET_TAIL
+    if order > solver.FLOQUET_FIRST_ORDER:
+        *_, smaller_tail = _full_stack_floquet(h, collapse, v0, times, order - 2)
+        assert smaller_tail > solver.FLOQUET_TAIL
+
+
+def test_floquet_stack_above_dense_cap_goes_to_rk45(monkeypatch):
+    """The aqec red_pair_center +0.1 MHz offset drives one 0.9 MHz tone
+    whose pruned M = 4 stack already exceeds DENSE_BLOCK_MAX: no stack is
+    propagated, the block goes to RK45, and the answer agrees with the
+    np.linspace grid point 0.10000000000000009, which drives two |freq|
+    values one ulp apart and so takes RK45 directly."""
+    propagated = []
+    exact = solver._propagate_exact
+
+    def counting(gen, v0, times):
+        propagated.append(gen.shape[0])
+        return exact(gen, v0, times)
+
+    monkeypatch.setattr(solver, "_propagate_exact", counting)
+    cfg, _, collapse = _preset("aqec")
+    rho0 = basis_state(FULL_DIMS, "gf00").to_density()
+    times = np.linspace(0.0, 3.0, 61)
+    offsets = (0.1, np.linspace(-1.0, 1.0, 21)[11])
+    assert offsets[1] == 0.10000000000000009
+    trajs = [solver.evolve(model.build_static_hamiltonian(cfg.device, cfg.drive,
+                                                          red_offset=off),
+                           collapse, rho0, times) for off in offsets]
+    assert propagated == []
+    assert all(t.meta["method"] == "rk45" and t.meta["nfev"] > 0 for t in trajs)
+    assert trajs[0].meta["floquet_rejected"] == "stack_dim"
+    assert trajs[0].meta["floquet_order"] == solver.FLOQUET_FIRST_ORDER
+    assert trajs[0].meta["stack_dim"] > solver.DENSE_BLOCK_MAX
+    assert "floquet_tail" not in trajs[0].meta
+    assert "floquet_order" not in trajs[1].meta
+    assert np.max(np.abs(trajs[0].states - trajs[1].states)) <= 1e-10
 
 
 def test_tone_is_a_phased_cosine():
