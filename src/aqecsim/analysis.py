@@ -22,7 +22,8 @@ import numpy as np
 from scipy.optimize import curve_fit, root
 
 from . import model
-from .operators import FULL_DIMS, QQ_DIMS, basis_index, ket_projector, trace_out
+from .operators import (FULL_DIMS, QQ_DIMS, basis_index, block_entries, ket_projector,
+                        trace_out)
 # Not called here; the benchmark's tracer wraps it under this name too.
 from .operators import partial_trace  # noqa: F401
 from .solver import Trajectory
@@ -108,13 +109,24 @@ class LevelSpec:
 # state metrics
 
 def _two_qutrit(rho):
-    """(nt, 9, 9) two-qutrit stack of a Trajectory, (1, 9, 9) of one state."""
-    stack = rho.states if isinstance(rho, Trajectory) else rho.data[None]
-    if rho.dims == QQ_DIMS:
-        return stack
-    if rho.dims == FULL_DIMS:
-        return trace_out(stack, FULL_DIMS, keep=range(len(QQ_DIMS)))[1]
-    raise ValueError(f"unsupported state dims {rho.dims}")
+    """(nt, 9, 9) two-qutrit stack of a Trajectory, (1, 9, 9) of one state.
+
+    A Trajectory is reduced on its block: entry (a, b) adds the resonator
+    terms <a k|rho|b k>, k = R1 R2 = 00, 01, 10, 11, that the block holds (the
+    rest are zero) as (00 + 01) + (10 + 11), the association in which
+    ``trace_out`` traces R2 and then R1 of a full stack.
+    """
+    if rho.dims not in (QQ_DIMS, FULL_DIMS):
+        raise ValueError(f"unsupported state dims {rho.dims}")
+    if not isinstance(rho, Trajectory):
+        return trace_out(rho.data[None], rho.dims, keep=range(len(QQ_DIMS)))[1]
+    m = int(np.prod(QQ_DIMS))
+    r = int(np.prod(rho.dims)) // m
+    a, b, k = np.arange(m)[:, None, None], np.arange(m)[None, :, None], np.arange(r)
+    terms = block_entries(rho.states, rho.keep, (a * r + k) * (m * r) + b * r + k)
+    if r == 1:
+        return terms[..., 0]
+    return (terms[..., 0] + terms[..., 1]) + (terms[..., 2] + terms[..., 3])
 
 
 def _per_state(rho, values):
@@ -200,7 +212,9 @@ def fit_exponential(t, y, skip_initial=0.0, p0=None):
         raise FitError("constant series: decay constant unidentifiable")
 
     def f(tt, a, tau, c):
-        return a * np.exp(-tt / tau) + c
+        # a trial tau near 0 overflows exp; its inf residual is rejected
+        with np.errstate(over="ignore"):
+            return a * np.exp(-tt / tau) + c
 
     span = tf[-1] - tf[0]
     if p0 is None:

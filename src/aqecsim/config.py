@@ -211,7 +211,8 @@ def load_config(path):
     except OSError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     try:
-        doc = yaml.safe_load(text)
+        # libyaml's parser when PyYAML was built with it, the same safe loader otherwise
+        doc = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ConfigError(f"{path}: malformed document: {exc}") from exc
     return _parse_document(doc, str(path))

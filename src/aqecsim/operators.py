@@ -7,9 +7,11 @@ builds every full-space operator from local parts, with the identity on the
 other subsystems.  Transmon j is subsystem j - 1 and resonator j is
 subsystem j + 1.  The other routines accept arbitrary dimension lists.
 Transmon levels are indexed g=0, e=1, f=2; resonator levels are photon
-numbers.  The partial trace and the physicality check take whole
-``(..., n, n)`` stacks, so a trajectory is reduced or validated in one call;
-the check diagonalizes only the blocks of levels the stack couples.
+numbers.  The partial trace takes whole ``(..., n, n)`` stacks, and the
+physicality check also a trajectory's block snapshots (``block_entries``
+reads entries of vec(rho) off them), so a trajectory is validated in one
+call without writing out its full stack; the check diagonalizes only the
+blocks of levels the stack couples.
 """
 
 from __future__ import annotations
@@ -262,39 +264,64 @@ class StateReport:
         )
 
 
+def block_entries(blocks, keep, index):
+    """Entries ``index`` of vec(rho) from every row of a block.
+
+    Column j of the ``(nt, len(keep))`` array ``blocks`` holds entry
+    ``keep[j]`` (sorted) of the row-major vec(rho); every entry outside
+    ``keep`` is zero.  Returns the ``(nt,) + index.shape`` gathered entries.
+    """
+    index = np.asarray(index)
+    where = np.full(max(np.max(keep, initial=-1), np.max(index)) + 1, len(keep))
+    where[keep] = np.arange(len(keep))
+    padded = np.concatenate([blocks, np.zeros((len(blocks), 1), dtype=blocks.dtype)], axis=1)
+    return padded[:, where[index]]
+
+
 def validate_state(rho, tol=1e-8):
     """Report Hermiticity, trace and positivity deviations of a state or stack.
 
-    ``rho`` is a DensityMatrix or an ``(..., n, n)`` stack of matrices.  The
+    ``rho`` is a DensityMatrix, an ``(..., n, n)`` stack of matrices, or a
+    ``solver.Trajectory``, whose block snapshots hold the entries ``keep`` of
+    vec(rho) and are checked without scattering them.  A matrix or stack is
+    checked as the block of its entries that are nonzero anywhere in it.  The
     report holds the worst deviation over the stack, so ``passed`` means that
-    every matrix passes.  Positivity is checked block by block: the levels are
-    split into the weakly connected components of the stack's joint nonzero
-    pattern.  No matrix couples two components, so each Hermitian part is
-    permutation-similar to a block-diagonal matrix and its spectrum is the
-    union of the blocks' spectra.  Blocks of one size are diagonalized by one
-    batched ``eigvalsh`` per ``VALIDATE_CHUNK`` snapshots.
+    every matrix passes.  Traces add the n diagonal entries as ``np.trace``
+    does.  Positivity is checked block by block: the levels are split into
+    the weakly connected components of the pattern of ``keep``.  No matrix
+    couples two components, so each Hermitian part is permutation-similar to
+    a block-diagonal matrix and its spectrum is the union of the blocks'
+    spectra.  Blocks of one size are diagonalized by one batched ``eigvalsh``
+    per ``VALIDATE_CHUNK`` snapshots.
     """
-    stack = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho)
-    n = stack.shape[-1]
-    flat = stack.reshape(-1, n, n)
-    # np.trace sums each diagonal as for a single matrix; einsum's order
-    # differs in the last bit
-    traces = np.trace(flat, axis1=1, axis2=2)
-    trace_dev = float(np.max(np.abs(traces.real - 1.0) + np.abs(traces.imag)))
-    _, label = connected_components(np.any(flat, axis=0), directed=True,
+    if hasattr(rho, "keep"):
+        n, keep, blocks = int(np.prod(rho.dims)), rho.keep, rho.states
+    else:
+        stack = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho)
+        n = stack.shape[-1]
+        flat = stack.reshape(-1, n * n)
+        keep = np.flatnonzero(np.any(flat, axis=0))
+        blocks = flat[:, keep]
+    pattern = np.zeros(n * n, dtype=bool)
+    pattern[keep] = True
+    _, label = connected_components(pattern.reshape(n, n), directed=True,
                                     connection="weak")
     sizes = np.bincount(label)
     members = np.argsort(label, kind="stable")  # grouped by component
     starts = np.cumsum(sizes) - sizes
     groups = [members[starts[sizes == size][:, None] + np.arange(size)]
               for size in np.unique(sizes)]
-    herm, min_eig = 0.0, np.inf
-    for lo in range(0, len(flat), VALIDATE_CHUNK):
-        part = flat[lo:lo + VALIDATE_CHUNK]
+    diagonal = np.arange(n) * (n + 1)
+    herm, trace_dev, min_eig = 0.0, 0.0, np.inf
+    for lo in range(0, len(blocks), VALIDATE_CHUNK):
+        part = blocks[lo:lo + VALIDATE_CHUNK]
+        # a C-ordered (chunk, n) diagonal sums pairwise, in np.trace's order
+        traces = np.ascontiguousarray(block_entries(part, keep, diagonal)).sum(axis=1)
+        trace_dev = max(trace_dev, float(np.max(np.abs(traces.real - 1.0) + np.abs(traces.imag))))
         for idx in groups:
-            blocks = part[:, idx[:, :, None], idx[:, None, :]]
-            adjoint = blocks.conj().swapaxes(-1, -2)
-            herm = max(herm, float(np.max(np.abs(blocks - adjoint))))
-            min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(0.5 * (blocks + adjoint)))))
+            mats = block_entries(part, keep, idx[:, :, None] * n + idx[:, None, :])
+            adjoint = mats.conj().swapaxes(-1, -2)
+            herm = max(herm, float(np.max(np.abs(mats - adjoint))))
+            min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(0.5 * (mats + adjoint)))))
     passed = herm <= tol and trace_dev <= tol and min_eig >= -tol
     return StateReport(herm, trace_dev, min_eig, tol, passed)

@@ -9,9 +9,11 @@ assembled in one pass from the nonzero entries of every Kronecker factor,
 and one superoperator S_k of -i[O_k, .] per driven term c_k(t) O_k.
 ``evolve`` restricts L0 and every S_k once to the block of vec(rho) that
 rho0 touches, the weakly connected components of the joint sparsity graph
-of L0 and the S_k that hold a nonzero entry of rho0, hands that block to one
-of three propagators, and scatters their block snapshots back once; every
-other entry of vec(rho) stays exactly zero.
+of L0 and the S_k that hold a nonzero entry of rho0, and hands that block to
+one of three propagators.  Their block snapshots are the trajectory itself:
+every other entry of vec(rho) stays exactly zero and is never stored, and
+the trace check, the renormalization, ``validate_state``, the two-qutrit
+reduction of ``analysis`` and ``observable_series`` all read the block.
 
 A time-independent H (the fully rotated frame) is propagated exactly on L0,
 by whichever of two methods is predicted to cost less on the block.  Dense
@@ -116,18 +118,36 @@ class SolverError(RuntimeError):
 
 @dataclass
 class Trajectory:
-    """Time grid (us), density-matrix snapshots, and solver statistics."""
+    """Time grid (us), snapshots of the propagated block of vec(rho), and
+    solver statistics.
+
+    Column j of ``states`` holds entry ``keep[j]`` of the row-major vec(rho)
+    at every time; every other entry is exactly zero.  ``state(i)`` writes
+    out one snapshot, ``full_states()`` all of them.
+    """
 
     times: np.ndarray
-    states: np.ndarray  # (nt, d, d) complex
+    states: np.ndarray  # (nt, len(keep)) complex
     dims: tuple
+    keep: np.ndarray  # sorted vec(rho) indices of the block
     meta: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.times)
 
+    def _scatter(self, rows):
+        d = int(np.prod(self.dims))
+        out = np.zeros((len(rows), d * d), dtype=complex)
+        out[:, self.keep] = rows
+        return out.reshape(len(rows), d, d)
+
     def state(self, i):
-        return DensityMatrix(self.dims, self.states[i])
+        return DensityMatrix(self.dims, self._scatter(self.states[i][None])[0])
+
+    def full_states(self):
+        """The (nt, d, d) stack of every snapshot.  It is nt d^2 entries, so
+        the run path never builds it; tests and checks compare against it."""
+        return self._scatter(self.states)
 
 
 def liouvillian(h, collapse):
@@ -297,18 +317,20 @@ def evolve(h, collapse, rho0, times, validate=True):
     Shirley-Floquet for an H whose driven terms all share one |frequency|,
     RK45 for an H driven at several frequencies, or at one frequency whose
     harmonics +-M are not negligible at any order tried or whose pruned
-    harmonic stack exceeds ``DENSE_BLOCK_MAX`` states.  Entries outside the
-    block stay exactly zero.
-    Snapshots are renormalized in trace when the drift is below 1e-6,
-    otherwise the run errors out.  ``meta`` records the ``method``
+    harmonic stack exceeds ``DENSE_BLOCK_MAX`` states.  The Trajectory holds
+    the block snapshots and their vec(rho) indices ``keep``; entries outside
+    the block are exactly zero and never stored.
+    Snapshots are renormalized on the block, by the trace of its diagonal
+    entries, when the drift is below 1e-6, otherwise the run errors out.
+    ``meta`` records the ``method``
     (``"expm"`` or ``"expm_multiply"``, whichever is predicted to cost less
     on the block, ``"floquet"`` or ``"rk45"``), the
     propagated ``block_dim`` of vec(rho) (of the 2M+1 stacked harmonics for
     Floquet), the RHS evaluations ``nfev`` (0 when exact),
     ``max_trace_drift`` and, when ``validate``, the renormalized snapshots'
     smallest eigenvalue ``min_eigenvalue`` and largest entry of rho - rho^dag
-    ``max_hermiticity_deviation`` (one ``validate_state`` call on the whole
-    stack).  Floquet runs add ``floquet_order``, the order M used (the
+    ``max_hermiticity_deviation`` (one ``validate_state`` call on the block
+    snapshots).  Floquet runs add ``floquet_order``, the order M used (the
     smallest of ``FLOQUET_FIRST_ORDER``, +2, ..., ``FLOQUET_ORDER`` whose
     harmonics pass), ``floquet_tail``, the largest entry of harmonics +-M,
     and ``stack_method``, the exact method (``"expm"`` or
@@ -344,20 +366,18 @@ def evolve(h, collapse, rho0, times, validate=True):
     if vecs is None:
         vecs, rk45_meta = _integrate_rk45(tones, gen, sups, v0, times)
         meta = {**rk45_meta, **meta}
-    states = np.zeros((len(times), rho0.dim ** 2), dtype=complex)
-    states[:, keep] = vecs
-    states = states.reshape(len(times), rho0.dim, rho0.dim)
-
-    traces = np.einsum("tii->t", states).real
+    # the diagonal entries summed one at a time in index order: the bits of
+    # einsum("tii->t") on the full stack
+    diagonal = np.flatnonzero(keep % (rho0.dim + 1) == 0)
+    traces = sum(vecs[:, j] for j in diagonal).real
     max_drift = float(np.max(np.abs(traces - 1.0)))
     if max_drift >= TRACE_DRIFT_LIMIT:
         raise SolverError(f"trace drift {max_drift:.2e} exceeds {TRACE_DRIFT_LIMIT:g}")
-    states = states / traces[:, None, None]
 
-    traj = Trajectory(times, states, rho0.dims,
+    traj = Trajectory(times, vecs / traces[:, None], rho0.dims, keep,
                       meta={**meta, "max_trace_drift": max_drift})
     if validate:
-        report = validate_state(states, tol=1e-6)
+        report = validate_state(traj, tol=1e-6)
         traj.meta["min_eigenvalue"] = report.min_eigenvalue
         traj.meta["max_hermiticity_deviation"] = report.hermiticity_deviation
     return traj
@@ -369,13 +389,11 @@ def observable_series(traj, ops):
     Warns when any imaginary part exceeds 1e-7 (non-Hermitian observable or
     integration trouble).
     """
-    mats = []
     for op in ops:
         if op.dims != traj.dims:
             raise ValueError(f"observable dims {op.dims} do not match {traj.dims}")
-        mats.append(op.data)
-    stack = np.stack(mats)
-    values = np.einsum("tij,kji->tk", traj.states, stack)
+    # Tr(rho O) = vec(rho) . vec(O^T), read on the block's entries alone
+    values = traj.states @ np.stack([op.data.T.ravel()[traj.keep] for op in ops], axis=1)
     worst_imag = float(np.max(np.abs(values.imag))) if values.size else 0.0
     if worst_imag > 1e-7:
         warnings.warn(f"observable series has imaginary part up to {worst_imag:.2e}",

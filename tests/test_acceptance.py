@@ -76,8 +76,7 @@ def test_criterion_01_physicality(arm_runs, report):
         traj = run["traj"]
         worst_drift = max(worst_drift, traj.meta["max_trace_drift"])
         worst_eig = min(worst_eig, traj.meta["min_eigenvalue"])
-        for i in range(len(traj)):
-            m = traj.states[i]
+        for m in traj.full_states():
             worst_herm = max(worst_herm, float(np.max(np.abs(m - m.conj().T))))
     passed = worst_drift <= 1e-6 and worst_herm <= 1e-8 and worst_eig >= -1e-6
     report(1, passed, f"trace drift {worst_drift:.1e}, hermiticity "

@@ -1,9 +1,11 @@
 """Configuration parsing, bundled presets, and the command-line verbs."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
+import yaml
 
 from aqecsim import cli, config, model, tomography
 from aqecsim.operators import DensityMatrix
@@ -56,6 +58,21 @@ def test_presets_load_and_expose_expected_arms():
     assert free.scenario.fit_skip_us == 0.0
     with pytest.raises(config.ConfigError):
         config.load_preset("nonexistent")
+
+
+def test_presets_parse_alike_with_and_without_libyaml(tmp_path):
+    """load_config's loader (libyaml's when PyYAML has it) reads every preset
+    as the pure-Python safe loader does, and malformed YAML is still a
+    ConfigError that names the file."""
+    presets = sorted(config.preset_path("aqec").parent.glob("*.yaml"))
+    assert len(presets) == 3
+    for path in presets:
+        text = path.read_text()
+        assert yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)) \
+            == yaml.safe_load(text)
+    bad = _write(tmp_path, "device: [unclosed\n", name="broken.yaml")
+    with pytest.raises(config.ConfigError, match="broken.yaml: malformed document"):
+        config.load_config(bad)
 
 
 def test_unknown_keys_are_hard_errors(tmp_path):
@@ -237,6 +254,26 @@ def test_run_scenario_unidentifiable_fit(tmp_path):
     assert "fit_tau_us" not in entries and "improvement_factor" not in entries
     assert float(entries["coherence_final"]) < 1.0
     assert np.loadtxt(tmp_path / "out" / "fast_L1_series.tsv", skiprows=1).shape == (17, 5)
+
+
+def test_run_scenario_fit_without_overflow_warning(tmp_path):
+    """free_decay from L1 on 1081 snapshots with jittered noise: the fit's
+    trial points overflow exp, which the optimizer rejects without a
+    RuntimeWarning, and the fit converges to its tau."""
+    text = (FAST_SCENARIO
+            .replace("t1_ge: [18.0, 8.0]", "t1_ge: [17.70166740034341, 7.915779362110752]")
+            .replace("t1_ef: [33.0, 33.0]",
+                     "t1_ef: [33.397682294072446, 33.108453887604966]")
+            .replace("t_phi: [15.0, 15.0]",
+                     "t_phi: [14.756477185344238, 14.959876164141885]")
+            .replace("t_phi_ff: 4.4", "t_phi_ff: 4.396313028472787\n  kappa: [0.53, 0.48]")
+            .replace("name: fast", "name: free_decay")
+            .replace("tmax_us: 4.0", "tmax_us: 27.0")
+            .replace("snapshots: 17", "snapshots: 1081"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        summary = cli.run_scenario(_write(tmp_path, text), tmp_path / "out")
+    assert cli._read_summary(summary)["fit_tau_us"] == "3.07841517084"
 
 
 def test_run_scenario_baseline_improvement(tmp_path):

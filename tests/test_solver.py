@@ -11,14 +11,16 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import curve_fit
 from scipy.sparse.linalg import expm_multiply
 
-from aqecsim import config, model, solver
+from aqecsim import analysis, cli, config, model, solver
 from aqecsim.operators import (
     FULL_DIMS,
+    DensityMatrix,
     LabeledOperator,
     basis_state,
     identity,
     ket_projector,
     tensor,
+    validate_state,
 )
 
 TWOPI = 2.0 * math.pi
@@ -49,8 +51,9 @@ def test_closed_evolution_preserves_purity(device, full_drive):
     h = model.build_rotating_hamiltonian(device, full_drive)
     rho0 = model.logical_state("Lx").to_density()
     traj = solver.evolve(h, [], rho0, np.linspace(0.0, 3.0, 7))
+    states = traj.full_states()
     for i in range(len(traj)):
-        purity = np.trace(traj.states[i] @ traj.states[i]).real
+        purity = np.trace(states[i] @ states[i]).real
         assert purity == pytest.approx(1.0, abs=1e-5)
 
 
@@ -82,7 +85,7 @@ def test_single_time_returns_initial_state(device, full_drive):
         traj = solver.evolve(h, [], rho0, np.array([0.0]))
         assert traj.meta["method"] == method
         assert len(traj) == 1
-        assert np.allclose(traj.states[0], rho0.data)
+        assert np.allclose(traj.full_states()[0], rho0.data)
 
 
 def test_observable_series_warns_on_non_hermitian(device):
@@ -141,8 +144,9 @@ def test_exact_propagation_matches_rk45(arm, tmax, snapshots):
         vecs, meta = solver._integrate_rk45(tones, gen, sups, v0[keep], times)
         assert meta["method"] == "rk45" and meta["nfev"] > 0
         assert meta["block_dim"] == block
-        ref = _scatter(keep, vecs, len(v0)).reshape(traj.states.shape)
-        assert np.max(np.abs(traj.states - ref)) <= 1e-6
+        states = traj.full_states()
+        ref = _scatter(keep, vecs, len(v0)).reshape(states.shape)
+        assert np.max(np.abs(states - ref)) <= 1e-6
 
 
 @pytest.mark.parametrize("arm, initial", [("free_decay", "Lx"), ("aqec", "L0")])
@@ -161,7 +165,7 @@ def test_block_reduction_matches_full_liouvillian(arm, initial):
     assert gen.shape == (36 * 36, 36 * 36)
     full = expm_multiply(gen, rho0.data.ravel().astype(complex), start=0.0,
                          stop=times[-1], num=len(times), endpoint=True)
-    assert np.max(np.abs(traj.states.reshape(len(times), -1) - full)) <= 1e-10
+    assert np.max(np.abs(traj.full_states().reshape(len(times), -1) - full)) <= 1e-10
 
 
 @pytest.mark.parametrize("arm, initial", [("free_decay", "Lx"), ("aqec", "L0")])
@@ -179,7 +183,7 @@ def test_non_uniform_grid_matches_uniform_grid(arm, initial):
     assert a.meta["method"] == "expm_multiply"
     assert b.meta["method"] == "expm"
     assert a.meta["block_dim"] == b.meta["block_dim"] == block
-    assert np.max(np.abs(a.states - b.states[shared])) <= 1e-10
+    assert np.max(np.abs(a.full_states() - b.full_states()[shared])) <= 1e-10
 
 
 def test_uniform_grid_takes_one_propagator(monkeypatch):
@@ -264,7 +268,7 @@ def test_exact_method_by_cost(monkeypatch):
         other = solver.evolve(h, collapse, rho0, times, validate=False)
         monkeypatch.undo()
         assert other.meta[key] == "expm_multiply"
-        assert np.max(np.abs(chosen.states - other.states)) <= 1e-12
+        assert np.max(np.abs(chosen.full_states() - other.full_states())) <= 1e-12
 
 
 def _random_density(rng, dim):
@@ -426,6 +430,68 @@ def test_floquet_base_block_matches_full_stack():
         assert abs(meta["floquet_tail"] - ref_tail) <= 1e-15
 
 
+@pytest.mark.parametrize("source, initial", [("free_decay", "Lx"), ("aqec", "L0"),
+                                             ("qr_frequency", None)])
+def test_block_route_matches_full_stack_route(source, initial):
+    """Every reader of a trajectory gets from its block what it gets from the
+    full (nt, 36, 36) view: the metrics bit for bit, the observables to
+    1e-15, validate_state's Hermiticity and trace deviations exactly and its
+    smallest eigenvalue to 1e-15, and state(i) exactly; on two preset blocks
+    and one Floquet offset of the benchmark's qr_frequency chevron."""
+    if initial is None:
+        h, collapse, psi0, times = _benchmark_sweep_case(source, 0.5)
+        rho0 = psi0.to_density()
+        labels = ("L0",)
+    else:
+        cfg, h, collapse = _preset(source)
+        times = np.linspace(0.0, cfg.scenario.tmax_us, 1081)
+        rho0 = model.logical_state(initial).to_density()
+        labels = LOGICAL
+    traj = solver.evolve(h, collapse, rho0, times)
+    if initial is None:
+        assert traj.meta["method"] == "floquet"
+    else:
+        assert len(traj.keep) == PRESET_BLOCKS[source][initial]
+    assert traj.states.shape == (len(times), len(traj.keep))
+    full = traj.full_states()
+    assert full.shape == (len(times), 36, 36)
+
+    assert np.array_equal(np.stack([traj.state(i).data for i in range(len(traj))]), full)
+    snapshots = [DensityMatrix(FULL_DIMS, m) for m in full]
+    for label in labels:
+        for metric in (analysis.error_population, analysis.coherence_metric):
+            assert np.array_equal(metric(traj, label), [metric(s, label) for s in snapshots])
+
+    ops = [model.transmon_number(1), model.transmon_number(2),
+           ket_projector(FULL_DIMS, "gf00", "fg00") + ket_projector(FULL_DIMS, "fg00", "gf00")]
+    ref = np.einsum("tij,kji->tk", full, np.stack([op.data for op in ops])).real
+    assert np.max(np.abs(solver.observable_series(traj, ops) - ref)) <= 1e-15
+
+    block, dense = validate_state(traj, tol=1e-6), validate_state(full, tol=1e-6)
+    assert block.hermiticity_deviation == dense.hermiticity_deviation
+    assert block.trace_deviation == dense.trace_deviation
+    assert abs(block.min_eigenvalue - dense.min_eigenvalue) <= 1e-15
+    assert traj.meta["min_eigenvalue"] == block.min_eigenvalue
+
+
+def test_run_path_never_builds_the_full_stack(monkeypatch, tmp_path, device):
+    """A scenario run, with a tomogram, and a chevron sweep read every
+    trajectory on its block: the full-stack view is never built."""
+    def refuse(self):
+        raise AssertionError("the full (nt, d, d) stack was built")
+
+    monkeypatch.setattr(solver.Trajectory, "full_states", refuse)
+    text = config.preset_path("free_decay").read_text() + "  tomography:\n    shots: 100\n"
+    cfg_path = tmp_path / "free_decay_tomo.yaml"
+    cfg_path.write_text(text)
+    summary = cli.run_scenario(cfg_path, tmp_path / "out")
+    assert "tomography_fidelity_snapshot_0" in summary.read_text()
+    cmap = solver.sweep_chevron(device, model.DriveConfig(omega_qr1=1.0), "qr_frequency",
+                                [-0.5, 0.5], np.linspace(0.0, 2.0, 41),
+                                model.logical_state("E01").to_density())
+    assert cmap.n_q1.shape == (2, 41)
+
+
 def test_rk45_matches_dop853_on_dissipative_static_frame():
     """RK45 on the aqec static frame, driven at two pair frequencies and
     with every collapse operator, equals a tight DOP853 integration of the
@@ -439,7 +505,7 @@ def test_rk45_matches_dop853_on_dissipative_static_frame():
     assert traj.meta["method"] == "rk45" and traj.meta["nfev"] > 0
     assert traj.meta["block_dim"] < 36 * 36
     ref = _dop853_reference(h, collapse, rho0, times)
-    assert np.max(np.abs(traj.states - ref)) <= 1e-6
+    assert np.max(np.abs(traj.full_states() - ref)) <= 1e-6
 
 
 def test_liouvillian_rejects_driven_hamiltonian(device, full_drive):
@@ -493,7 +559,7 @@ def test_floquet_matches_dop853_on_red_sweep(red_freq):
     assert traj.meta["floquet_tail"] <= solver.FLOQUET_TAIL
     assert traj.meta["block_dim"] < (2 * traj.meta["floquet_order"] + 1) * 36 * 36
     ref = _dop853_reference(h, collapse, rho0, times)
-    assert np.max(np.abs(traj.states - ref)) <= 1e-8
+    assert np.max(np.abs(traj.full_states() - ref)) <= 1e-8
 
 
 def test_evolve_dispatch_by_drive_frequencies(device, full_drive):
@@ -532,9 +598,10 @@ def test_validation_meta_matches_per_snapshot_eigvalsh(device, full_drive):
                 else basis_state(FULL_DIMS, "gf00")).to_density()
         traj = solver.evolve(ham, ops, rho0, times)
         assert traj.meta["method"] == method
-        herm = max(float(np.max(np.abs(m - m.conj().T))) for m in traj.states)
+        states = traj.full_states()
+        herm = max(float(np.max(np.abs(m - m.conj().T))) for m in states)
         min_eig = min(float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
-                      for m in traj.states)
+                      for m in states)
         assert traj.meta["max_hermiticity_deviation"] == herm
         assert abs(traj.meta["min_eigenvalue"] - min_eig) <= 1e-12
 
@@ -555,7 +622,7 @@ def test_floquet_truncation_guard(monkeypatch):
     assert traj.meta["floquet_tail"] > solver.FLOQUET_TAIL
     assert traj.meta["stack_method"] == "expm"
     ref = _dop853_reference(h, collapse, rho0, times)
-    assert np.max(np.abs(traj.states - ref)) <= 1e-6
+    assert np.max(np.abs(traj.full_states() - ref)) <= 1e-6
 
 
 @pytest.mark.parametrize("axis, freq, order", [
@@ -611,7 +678,7 @@ def test_floquet_stack_above_dense_cap_goes_to_rk45(monkeypatch):
     assert trajs[0].meta["stack_dim"] > solver.DENSE_BLOCK_MAX
     assert "floquet_tail" not in trajs[0].meta
     assert "floquet_order" not in trajs[1].meta
-    assert np.max(np.abs(trajs[0].states - trajs[1].states)) <= 1e-10
+    assert np.max(np.abs(trajs[0].full_states() - trajs[1].full_states())) <= 1e-10
 
 
 def test_tone_is_a_phased_cosine():
