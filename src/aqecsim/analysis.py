@@ -22,8 +22,7 @@ import numpy as np
 from scipy.optimize import curve_fit, root
 
 from . import model
-from .operators import (FULL_DIMS, QQ_DIMS, basis_index, block_entries, ket_projector,
-                        trace_out)
+from .operators import FULL_DIMS, QQ_DIMS, basis_index, block_trace_out, ket_projector
 # Not called here; the benchmark's tracer wraps it under this name too.
 from .operators import partial_trace  # noqa: F401
 from .solver import Trajectory
@@ -111,22 +110,16 @@ class LevelSpec:
 def _two_qutrit(rho):
     """(nt, 9, 9) two-qutrit stack of a Trajectory, (1, 9, 9) of one state.
 
-    A Trajectory is reduced on its block: entry (a, b) adds the resonator
-    terms <a k|rho|b k>, k = R1 R2 = 00, 01, 10, 11, that the block holds (the
-    rest are zero) as (00 + 01) + (10 + 11), the association in which
-    ``trace_out`` traces R2 and then R1 of a full stack.
+    A Trajectory is reduced on its block; a single state is a one-row block
+    of all its entries.
     """
     if rho.dims not in (QQ_DIMS, FULL_DIMS):
         raise ValueError(f"unsupported state dims {rho.dims}")
-    if not isinstance(rho, Trajectory):
-        return trace_out(rho.data[None], rho.dims, keep=range(len(QQ_DIMS)))[1]
-    m = int(np.prod(QQ_DIMS))
-    r = int(np.prod(rho.dims)) // m
-    a, b, k = np.arange(m)[:, None, None], np.arange(m)[None, :, None], np.arange(r)
-    terms = block_entries(rho.states, rho.keep, (a * r + k) * (m * r) + b * r + k)
-    if r == 1:
-        return terms[..., 0]
-    return (terms[..., 0] + terms[..., 1]) + (terms[..., 2] + terms[..., 3])
+    if isinstance(rho, Trajectory):
+        blocks, keep = rho.states, rho.keep
+    else:
+        blocks, keep = rho.data.reshape(1, -1), np.arange(rho.data.size)
+    return block_trace_out(blocks, keep, rho.dims, kept=range(len(QQ_DIMS)))[1]
 
 
 def _per_state(rho, values):

@@ -7,11 +7,12 @@ builds every full-space operator from local parts, with the identity on the
 other subsystems.  Transmon j is subsystem j - 1 and resonator j is
 subsystem j + 1.  The other routines accept arbitrary dimension lists.
 Transmon levels are indexed g=0, e=1, f=2; resonator levels are photon
-numbers.  The partial trace takes whole ``(..., n, n)`` stacks, and the
-physicality check also a trajectory's block snapshots (``block_entries``
-reads entries of vec(rho) off them), so a trajectory is validated in one
-call without writing out its full stack; the check diagonalizes only the
-blocks of levels the stack couples.
+numbers.  The partial trace takes whole ``(..., n, n)`` stacks or, as
+``block_trace_out``, a trajectory's block snapshots, and so does the
+physicality check (``block_entries`` reads entries of vec(rho) off a
+block), so a trajectory is reduced and validated without writing out its
+full stack; the check diagonalizes only the blocks of levels the stack
+couples.
 """
 
 from __future__ import annotations
@@ -244,6 +245,38 @@ def trace_out(stack, dims, keep):
 def partial_trace(rho, keep):
     """Trace out all subsystems not in ``keep`` (set of subsystem indices)."""
     return DensityMatrix(*trace_out(rho.data, rho.dims, keep))
+
+
+def block_trace_out(blocks, keep, dims, kept):
+    """:func:`trace_out` of a stack held as block snapshots (``block_entries``).
+
+    Traces out every subsystem not in ``kept`` and returns the kept dims and
+    the ``(nt, m, m)`` reduced stack.  Only the terms of the traced levels'
+    diagonals are gathered, and each traced subsystem is summed highest index
+    first, as ``trace_out`` does, so the full stack is never written out.
+    """
+    dims = tuple(dims)
+    kept = sorted(set(kept))
+    if not kept or any(k < 0 or k >= len(dims) for k in kept):
+        raise ValueError(f"invalid keep set {kept} for dims {dims}")
+    traced = [i for i in range(len(dims)) if i not in kept]
+    kept_dims = tuple(dims[i] for i in kept)
+    traced_dims = tuple(dims[i] for i in traced)
+    m, t = int(np.prod(kept_dims)), int(np.prod(traced_dims))
+    rows = np.indices(kept_dims).reshape(len(kept), m)
+    terms = np.indices(traced_dims).reshape(len(traced), t)
+    # levels of each subsystem on axes (row, column, traced term)
+    row_levels, col_levels = [None] * len(dims), [None] * len(dims)
+    for i, lv in zip(kept, rows):
+        row_levels[i], col_levels[i] = lv[:, None, None], lv[None, :, None]
+    for i, lv in zip(traced, terms):
+        row_levels[i] = col_levels[i] = lv[None, None, :]
+    n = int(np.prod(dims))
+    index = np.ravel_multi_index(row_levels, dims) * n + np.ravel_multi_index(col_levels, dims)
+    reduced = block_entries(blocks, keep, index).reshape((len(blocks), m, m) + traced_dims)
+    for _ in traced:
+        reduced = reduced.sum(axis=-1)
+    return kept_dims, reduced
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from aqecsim.operators import (
     StateVector,
     basis_index,
     basis_state,
+    block_trace_out,
     destroy,
     embed,
     expectation,
@@ -21,6 +22,7 @@ from aqecsim.operators import (
     number,
     partial_trace,
     tensor,
+    trace_out,
     validate_state,
 )
 
@@ -130,6 +132,26 @@ def test_partial_trace_keeps_two_of_four():
         partial_trace(rho, keep=())
     with pytest.raises(ValueError):
         partial_trace(rho, keep=(5,))
+
+
+@pytest.mark.parametrize("dims, kept", [(FULL_DIMS, (0, 1)), (FULL_DIMS, (1, 3)),
+                                        (QQ_DIMS, (0, 1)), ((2, 3, 3), (0,)),
+                                        ((4, 3, 2), (2,))])
+def test_block_trace_out_matches_trace_out(dims, kept):
+    """The partial trace of a stack's block snapshots equals trace_out of
+    the full stack bit for bit, with 2- and 3-level subsystems traced."""
+    rng = np.random.default_rng(3)
+    n = int(np.prod(dims))
+    stack = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
+    stack[rng.random(stack.shape) < 0.4] = 0.0
+    flat = stack.reshape(5, -1)
+    keep = np.flatnonzero(np.any(flat, axis=0))
+    kept_dims, reduced = block_trace_out(flat[:, keep], keep, dims, kept)
+    ref_dims, ref = trace_out(stack, dims, kept)
+    assert kept_dims == ref_dims
+    assert np.array_equal(reduced, ref)
+    with pytest.raises(ValueError):
+        block_trace_out(flat[:, keep], keep, dims, ())
 
 
 def test_validate_state_pass_and_fail():

@@ -14,12 +14,14 @@ from scipy.sparse.linalg import expm_multiply
 from aqecsim import analysis, cli, config, model, solver
 from aqecsim.operators import (
     FULL_DIMS,
+    QQ_DIMS,
     DensityMatrix,
     LabeledOperator,
     basis_state,
     identity,
     ket_projector,
     tensor,
+    trace_out,
     validate_state,
 )
 
@@ -434,10 +436,11 @@ def test_floquet_base_block_matches_full_stack():
                                              ("qr_frequency", None)])
 def test_block_route_matches_full_stack_route(source, initial):
     """Every reader of a trajectory gets from its block what it gets from the
-    full (nt, 36, 36) view: the metrics bit for bit, the observables to
-    1e-15, validate_state's Hermiticity and trace deviations exactly and its
-    smallest eigenvalue to 1e-15, and state(i) exactly; on two preset blocks
-    and one Floquet offset of the benchmark's qr_frequency chevron."""
+    full (nt, 36, 36) view: the metrics bit for bit those of ``trace_out``
+    of the full view, the observables to 1e-15, validate_state's Hermiticity
+    and trace deviations exactly and its smallest eigenvalue to 1e-15, and
+    state(i) exactly; on two preset blocks and one Floquet offset of the
+    benchmark's qr_frequency chevron."""
     if initial is None:
         h, collapse, psi0, times = _benchmark_sweep_case(source, 0.5)
         rho0 = psi0.to_density()
@@ -457,7 +460,8 @@ def test_block_route_matches_full_stack_route(source, initial):
     assert full.shape == (len(times), 36, 36)
 
     assert np.array_equal(np.stack([traj.state(i).data for i in range(len(traj))]), full)
-    snapshots = [DensityMatrix(FULL_DIMS, m) for m in full]
+    snapshots = [DensityMatrix(QQ_DIMS, m)
+                 for m in trace_out(full, FULL_DIMS, keep=range(len(QQ_DIMS)))[1]]
     for label in labels:
         for metric in (analysis.error_population, analysis.coherence_metric):
             assert np.array_equal(metric(traj, label), [metric(s, label) for s in snapshots])
@@ -581,8 +585,9 @@ def test_evolve_dispatch_by_drive_frequencies(device, full_drive):
 
 def test_validation_meta_matches_per_snapshot_eigvalsh(device, full_drive):
     """One validate_state call on the whole stack records the same smallest
-    eigenvalue as a full eigvalsh of every snapshot, and the same largest
-    |rho - rho^dag| entry, on every propagation method."""
+    eigenvalue as a full eigvalsh of every snapshot, the same largest
+    |rho - rho^dag| entry, and the trace deviation of np.trace on the full
+    stack, on every propagation method."""
     cfg, h, collapse = _preset("free_decay")
     _, h_aqec, collapse_aqec = _preset("aqec")
     h_red, collapse_red = _red_sweep_hamiltonian(0.5)
@@ -602,8 +607,11 @@ def test_validation_meta_matches_per_snapshot_eigvalsh(device, full_drive):
         herm = max(float(np.max(np.abs(m - m.conj().T))) for m in states)
         min_eig = min(float(np.min(np.linalg.eigvalsh(0.5 * (m + m.conj().T))))
                       for m in states)
+        traces = np.trace(states, axis1=1, axis2=2)
+        trace_dev = float(np.max(np.abs(traces.real - 1.0) + np.abs(traces.imag)))
         assert traj.meta["max_hermiticity_deviation"] == herm
         assert abs(traj.meta["min_eigenvalue"] - min_eig) <= 1e-12
+        assert validate_state(traj).trace_deviation == trace_dev
 
 
 def test_floquet_truncation_guard(monkeypatch):
