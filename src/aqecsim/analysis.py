@@ -22,10 +22,9 @@ import numpy as np
 from scipy.optimize import curve_fit, root
 
 from . import model
-from .operators import FULL_DIMS, QQ_DIMS, basis_index, block_trace_out, ket_projector
+from .operators import FULL_DIMS, QQ_DIMS, DensityMatrix, basis_index, ket_projector, trace_out
 # Not called here; the benchmark's tracer wraps it under this name too.
 from .operators import partial_trace  # noqa: F401
-from .solver import Trajectory
 
 
 class FitError(RuntimeError):
@@ -108,23 +107,15 @@ class LevelSpec:
 # state metrics
 
 def _two_qutrit(rho):
-    """(nt, 9, 9) two-qutrit stack of a Trajectory, (1, 9, 9) of one state.
-
-    A Trajectory is reduced on its block; a single state is a one-row block
-    of all its entries.
-    """
+    """(nt, 9, 9) two-qutrit stack of a Trajectory, (1, 9, 9) of one state."""
     if rho.dims not in (QQ_DIMS, FULL_DIMS):
         raise ValueError(f"unsupported state dims {rho.dims}")
-    if isinstance(rho, Trajectory):
-        blocks, keep = rho.states, rho.keep
-    else:
-        blocks, keep = rho.data.reshape(1, -1), np.arange(rho.data.size)
-    return block_trace_out(blocks, keep, rho.dims, kept=range(len(QQ_DIMS)))[1]
+    return trace_out(rho, range(len(QQ_DIMS)))[1]
 
 
 def _per_state(rho, values):
     """The (nt,) values of a Trajectory, or the one value of a single state."""
-    return values if isinstance(rho, Trajectory) else float(values[0])
+    return float(values[0]) if isinstance(rho, DensityMatrix) else values
 
 
 def error_population(rho, label):

@@ -3,7 +3,9 @@
 A configuration is a single YAML document with up to five top-level sections:
 ``device``, ``drive``, ``noise``, ``scenario``, and ``sweep``.  Section keys
 map one-to-one onto the corresponding dataclass field names; unknown keys at
-any level are hard errors so no physics input can be silently ignored.
+any level are hard errors so no physics input can be silently ignored, and so
+is a NaN or an infinite number, but for an infinite noise timescale, which
+switches its channel off.
 
 Three preset files (the free-decay, four-tone echo, and full correction
 parameter columns) ship with the package and can be loaded by name.
@@ -11,6 +13,7 @@ parameter columns) ship with the package and can be loaded by name.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from importlib import resources
 from numbers import Integral
@@ -21,6 +24,7 @@ import yaml
 from .model import LOGICAL_STATES, SWEEP_AXES, DeviceParams, DriveConfig, NoiseModel, named_state
 
 ARMS = ("free_decay", "echo_4qq", "aqec")
+_INFINITE_OK = ("t1_ge", "t1_ef", "t_phi", "t1_up", "t_phi_ff")  # noise timescales (us)
 
 
 class ConfigError(ValueError):
@@ -139,7 +143,7 @@ _REQUIRED_DRIVES = {
 }
 
 
-def _build(section, cls, data, converters=()):
+def _build(section, cls, data):
     if not isinstance(data, dict):
         raise ConfigError(f"{section}: expected a mapping, got {type(data).__name__}")
     allowed = {f.name for f in fields(cls)}
@@ -149,11 +153,18 @@ def _build(section, cls, data, converters=()):
                           f"allowed keys are {sorted(allowed)}")
     coerced = {k: tuple(v) if isinstance(v, list) else v for k, v in data.items()}
     try:
-        return cls(**coerced)
+        obj = cls(**coerced)
     except ConfigError:
         raise  # already names its field
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        allowed = (math.inf,) if f.name in _INFINITE_OK else ()
+        if any(isinstance(v, float) and not math.isfinite(v) and v not in allowed
+               for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{section}.{f.name}: must be finite, got {value!r}")
+    return obj
 
 
 def _parse_document(doc, source):

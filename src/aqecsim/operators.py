@@ -7,12 +7,13 @@ builds every full-space operator from local parts, with the identity on the
 other subsystems.  Transmon j is subsystem j - 1 and resonator j is
 subsystem j + 1.  The other routines accept arbitrary dimension lists.
 Transmon levels are indexed g=0, e=1, f=2; resonator levels are photon
-numbers.  The partial trace takes whole ``(..., n, n)`` stacks or, as
-``block_trace_out``, a trajectory's block snapshots, and so does the
-physicality check (``block_entries`` reads entries of vec(rho) off a
-block), so a trajectory is reduced and validated without writing out its
-full stack; the check diagonalizes only the blocks of levels the stack
-couples.
+numbers.  The partial trace (``trace_out``, and ``partial_trace`` for one
+state) and the physicality check read every state as a block of entries of
+vec(rho): ``_block_view`` takes a trajectory's own block snapshots, or the
+entries of a matrix or stack that are nonzero anywhere in it, and
+``block_entries`` gathers entries off a block.  So a trajectory is reduced
+and validated without writing out its full stack, and the check
+diagonalizes only the blocks of levels the stack couples.
 """
 
 from __future__ import annotations
@@ -216,49 +217,48 @@ def expectation(rho, op):
     return complex(np.trace(rho.data @ op.data))
 
 
-def trace_out(stack, dims, keep):
-    """Partial trace of a ``(..., n, n)`` stack of matrices on ``dims``.
+def block_entries(blocks, keep, index):
+    """Entries ``index`` of vec(rho) from every row of a block.
 
-    Traces out every subsystem not in ``keep`` (set of subsystem indices) and
-    returns the kept dims and the ``(..., m, m)`` reduced stack.  Leading
-    axes are batch axes, so a trajectory reduces in one call and each matrix
-    gets the same arithmetic as on its own.
+    Column j of the ``(nt, len(keep))`` array ``blocks`` holds entry
+    ``keep[j]`` (sorted) of the row-major vec(rho); every entry outside
+    ``keep`` is zero.  Returns the ``(nt,) + index.shape`` gathered entries.
     """
-    dims = tuple(dims)
-    keep = sorted(set(keep))
-    if not keep or any(k < 0 or k >= len(dims) for k in keep):
-        raise ValueError(f"invalid keep set {keep} for dims {dims}")
-    batch = stack.shape[:-2]
-    traced = stack.reshape(batch + dims + dims)
-    # contract traced-out subsystems pairwise, highest index first so earlier
-    # axis positions stay valid
-    n_now = len(dims)
-    for idx in sorted(set(range(len(dims))) - set(keep), reverse=True):
-        traced = np.trace(traced, axis1=len(batch) + idx,
-                          axis2=len(batch) + idx + n_now)
-        n_now -= 1
-    kept_dims = tuple(dims[k] for k in keep)
-    n = int(np.prod(kept_dims))
-    return kept_dims, traced.reshape(batch + (n, n))
+    index = np.asarray(index)
+    where = np.full(max(np.max(keep, initial=-1), np.max(index)) + 1, len(keep))
+    where[keep] = np.arange(len(keep))
+    padded = np.concatenate([blocks, np.zeros((len(blocks), 1), dtype=blocks.dtype)], axis=1)
+    return padded[:, where[index]]
 
 
-def partial_trace(rho, keep):
-    """Trace out all subsystems not in ``keep`` (set of subsystem indices)."""
-    return DensityMatrix(*trace_out(rho.data, rho.dims, keep))
+def _block_view(rho):
+    """``(blocks, keep, n)`` of a state: its block snapshots, the sorted
+    vec(rho) entries ``keep`` they hold (``block_entries``) and the dimension
+    n.  A ``solver.Trajectory`` brings its own block; a DensityMatrix or an
+    ``(..., n, n)`` stack is the block of its entries nonzero anywhere in it."""
+    if hasattr(rho, "keep"):
+        return rho.states, rho.keep, int(np.prod(rho.dims))
+    stack = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    n = stack.shape[-1]
+    flat = stack.reshape(-1, n * n)
+    keep = np.flatnonzero(np.any(flat, axis=0))
+    return flat[:, keep], keep, n
 
 
-def block_trace_out(blocks, keep, dims, kept):
-    """:func:`trace_out` of a stack held as block snapshots (``block_entries``).
+def trace_out(rho, kept):
+    """Partial trace of a DensityMatrix or a ``solver.Trajectory``.
 
-    Traces out every subsystem not in ``kept`` and returns the kept dims and
-    the ``(nt, m, m)`` reduced stack.  Only the terms of the traced levels'
-    diagonals are gathered, and each traced subsystem is summed highest index
-    first, as ``trace_out`` does, so the full stack is never written out.
+    Traces out every subsystem not in ``kept`` (subsystem indices) and
+    returns the kept dims and the ``(nt, m, m)`` reduced stack, one row for
+    a DensityMatrix.  Only the terms of the traced levels' diagonals are
+    gathered off the state's block (``_block_view``), and the traced
+    subsystems are summed highest index first, one at a time.
     """
-    dims = tuple(dims)
+    dims = rho.dims
     kept = sorted(set(kept))
     if not kept or any(k < 0 or k >= len(dims) for k in kept):
         raise ValueError(f"invalid keep set {kept} for dims {dims}")
+    blocks, keep, n = _block_view(rho)
     traced = [i for i in range(len(dims)) if i not in kept]
     kept_dims = tuple(dims[i] for i in kept)
     traced_dims = tuple(dims[i] for i in traced)
@@ -271,12 +271,17 @@ def block_trace_out(blocks, keep, dims, kept):
         row_levels[i], col_levels[i] = lv[:, None, None], lv[None, :, None]
     for i, lv in zip(traced, terms):
         row_levels[i] = col_levels[i] = lv[None, None, :]
-    n = int(np.prod(dims))
     index = np.ravel_multi_index(row_levels, dims) * n + np.ravel_multi_index(col_levels, dims)
     reduced = block_entries(blocks, keep, index).reshape((len(blocks), m, m) + traced_dims)
     for _ in traced:
         reduced = reduced.sum(axis=-1)
     return kept_dims, reduced
+
+
+def partial_trace(rho, keep):
+    """Trace out all subsystems not in ``keep`` (set of subsystem indices)."""
+    kept_dims, reduced = trace_out(rho, keep)
+    return DensityMatrix(kept_dims, reduced[0])
 
 
 @dataclass(frozen=True)
@@ -297,44 +302,21 @@ class StateReport:
         )
 
 
-def block_entries(blocks, keep, index):
-    """Entries ``index`` of vec(rho) from every row of a block.
-
-    Column j of the ``(nt, len(keep))`` array ``blocks`` holds entry
-    ``keep[j]`` (sorted) of the row-major vec(rho); every entry outside
-    ``keep`` is zero.  Returns the ``(nt,) + index.shape`` gathered entries.
-    """
-    index = np.asarray(index)
-    where = np.full(max(np.max(keep, initial=-1), np.max(index)) + 1, len(keep))
-    where[keep] = np.arange(len(keep))
-    padded = np.concatenate([blocks, np.zeros((len(blocks), 1), dtype=blocks.dtype)], axis=1)
-    return padded[:, where[index]]
-
-
 def validate_state(rho, tol=1e-8):
     """Report Hermiticity, trace and positivity deviations of a state or stack.
 
     ``rho`` is a DensityMatrix, an ``(..., n, n)`` stack of matrices, or a
-    ``solver.Trajectory``, whose block snapshots hold the entries ``keep`` of
-    vec(rho) and are checked without scattering them.  A matrix or stack is
-    checked as the block of its entries that are nonzero anywhere in it.  The
-    report holds the worst deviation over the stack, so ``passed`` means that
-    every matrix passes.  Traces add the n diagonal entries as ``np.trace``
-    does.  Positivity is checked block by block: the levels are split into
-    the weakly connected components of the pattern of ``keep``.  No matrix
-    couples two components, so each Hermitian part is permutation-similar to
-    a block-diagonal matrix and its spectrum is the union of the blocks'
-    spectra.  Blocks of one size are diagonalized by one batched ``eigvalsh``
-    per ``VALIDATE_CHUNK`` snapshots.
+    ``solver.Trajectory``, checked on its block (``_block_view``) without
+    scattering it.  The report holds the worst deviation over the stack, so
+    ``passed`` means that every matrix passes.  Traces add the n diagonal
+    entries as ``np.trace`` does.  Positivity is checked block by block: the
+    levels are split into the weakly connected components of the pattern of
+    ``keep``.  No matrix couples two components, so each Hermitian part is
+    permutation-similar to a block-diagonal matrix and its spectrum is the
+    union of the blocks' spectra.  Blocks of one size are diagonalized by
+    one batched ``eigvalsh`` per ``VALIDATE_CHUNK`` snapshots.
     """
-    if hasattr(rho, "keep"):
-        n, keep, blocks = int(np.prod(rho.dims)), rho.keep, rho.states
-    else:
-        stack = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho)
-        n = stack.shape[-1]
-        flat = stack.reshape(-1, n * n)
-        keep = np.flatnonzero(np.any(flat, axis=0))
-        blocks = flat[:, keep]
+    blocks, keep, n = _block_view(rho)
     pattern = np.zeros(n * n, dtype=bool)
     pattern[keep] = True
     _, label = connected_components(pattern.reshape(n, n), directed=True,

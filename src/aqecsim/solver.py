@@ -41,13 +41,12 @@ with sigma_n(t0) = delta_n0 rho0 and L+- = sum_k (1/2) e^{+-i sign(f_k) phi_k} S
 over the tones cos(2 pi f_k t + phi_k), |f_k| = w / 2pi.  Cut at |n| <= M
 this is one time-independent generator on 2M+1 copies of the block, whose
 components are finer than the block's, so it is pruned once more to those
-rho0 touches and propagated on the exact path.  M grows from ``FLOQUET_FIRST_ORDER`` in
-steps of two up to ``FLOQUET_ORDER``, and the first truncation whose
-harmonics +-M are negligible is the answer.  If none is, or if a pruned
-stack holds more than ``DENSE_BLOCK_MAX`` states (it is then not
-propagated: a larger M only grows it, and on the aqec stacks of that size
-RK45 on the block was as fast or faster; see the constant), the block goes
-to RK45 instead.
+rho0 touches and propagated on the exact path.  M takes the orders
+``FLOQUET_ORDERS`` in turn, and the first truncation whose harmonics +-M are
+negligible is the answer.  If none is, or if a pruned stack holds more than
+``DENSE_BLOCK_MAX`` states (it is then not propagated: a larger M only grows
+it, and on the aqec stacks of that size RK45 on the block was as fast or
+faster; see the constant), the block goes to RK45 instead.
 
 H with driven terms at several frequencies (the lab frame with several
 carriers, the static frame with two nonzero pair frequencies), or with one
@@ -103,12 +102,10 @@ MULTIPLY_COST = 4e5
 # Snapshot steps equal to this relative tolerance share one propagator, so an
 # np.linspace grid counts as uniform.
 STEP_RTOL = 1e-12
-# Harmonics kept on each side of a single-frequency H: the first and the
-# largest order tried (steps of two; an odd step barely lowers the tail), and
-# the largest entry harmonics +-M may reach before the truncation counts as
-# unsafe.
-FLOQUET_FIRST_ORDER = 4
-FLOQUET_ORDER = 8
+# Harmonics kept on each side of a single-frequency H: the orders tried, in
+# turn (steps of two; an odd step barely lowers the tail), and the largest
+# entry harmonics +-M may reach before the truncation counts as unsafe.
+FLOQUET_ORDERS = (4, 6, 8)
 FLOQUET_TAIL = 1e-10
 
 
@@ -254,7 +251,7 @@ def _propagate_floquet(tones, gen, sups, v0, times):
     s_plus = sum(c * s for c, s in zip(coefs, sups))
     s_minus = sum(np.conj(c) * s for c, s in zip(coefs, sups))
     nb = len(v0)
-    for m in [*range(FLOQUET_FIRST_ORDER, FLOQUET_ORDER, 2), FLOQUET_ORDER]:
+    for m in FLOQUET_ORDERS:
         stack = (sp.kron(sp.identity(2 * m + 1), gen)
                  + sp.kron(sp.diags(-1j * w * np.arange(-m, m + 1)), sp.identity(nb))
                  + sp.kron(sp.eye(2 * m + 1, k=-1), s_plus)
@@ -309,41 +306,36 @@ def _integrate_rk45(tones, gen, sups, v0, times):
 def evolve(h, collapse, rho0, times, validate=True):
     """Propagate drho/dt = -i[H(t), rho] + sum_k D[L_k] rho.
 
-    ``times`` is the strictly increasing snapshot grid (us); the first entry is
-    the initial time.  Each call builds one sparse Lindblad generator of H's
-    constant part and one commutator superoperator per driven term, restricts
-    them to the block of vec(rho) that rho0 touches, and hands that block to
-    one of three paths (module docstring): exact for a time-independent H,
-    Shirley-Floquet for an H whose driven terms all share one |frequency|,
-    RK45 for an H driven at several frequencies, or at one frequency whose
-    harmonics +-M are not negligible at any order tried or whose pruned
-    harmonic stack exceeds ``DENSE_BLOCK_MAX`` states.  The Trajectory holds
+    ``times`` is the finite, strictly increasing snapshot grid (us); the
+    first entry is the initial time.  A non-finite entry of H, a collapse
+    operator, a tone or rho0 raises ValueError.  The generator is restricted
+    to the block of vec(rho) that rho0 touches and propagated on the exact,
+    Shirley-Floquet or RK45 path (module docstring).  The Trajectory holds
     the block snapshots and their vec(rho) indices ``keep``; entries outside
-    the block are exactly zero and never stored.
-    Snapshots are renormalized on the block, by the trace of its diagonal
-    entries, when the drift is below 1e-6, otherwise the run errors out.
-    ``meta`` records the ``method``
-    (``"expm"`` or ``"expm_multiply"``, whichever is predicted to cost less
-    on the block, ``"floquet"`` or ``"rk45"``), the
-    propagated ``block_dim`` of vec(rho) (of the 2M+1 stacked harmonics for
-    Floquet), the RHS evaluations ``nfev`` (0 when exact),
+    the block are exactly zero and never stored.  Snapshots are renormalized
+    on the block, by the trace of its diagonal entries, when the drift is
+    below 1e-6, otherwise the run errors out.
+    ``meta`` records the ``method`` (``"expm"`` or ``"expm_multiply"``,
+    whichever is predicted to cost less on the block, ``"floquet"`` or
+    ``"rk45"``), the propagated ``block_dim`` of vec(rho) (of the 2M+1
+    stacked harmonics for Floquet), the RHS evaluations ``nfev`` (0 when exact),
     ``max_trace_drift`` and, when ``validate``, the renormalized snapshots'
     smallest eigenvalue ``min_eigenvalue`` and largest entry of rho - rho^dag
     ``max_hermiticity_deviation`` (one ``validate_state`` call on the block
     snapshots).  Floquet runs add ``floquet_order``, the order M used (the
-    smallest of ``FLOQUET_FIRST_ORDER``, +2, ..., ``FLOQUET_ORDER`` whose
-    harmonics pass), ``floquet_tail``, the largest entry of harmonics +-M,
-    and ``stack_method``, the exact method (``"expm"`` or
-    ``"expm_multiply"``) the harmonic stack took.  An RK45 run of a
-    single-frequency H says why in ``floquet_rejected``: ``"tail"`` when
-    harmonics +-``FLOQUET_ORDER`` still exceed ``FLOQUET_TAIL`` (it keeps
+    first of ``FLOQUET_ORDERS`` whose harmonics pass), ``floquet_tail``, the
+    largest entry of harmonics +-M, and ``stack_method``, the exact method
+    (``"expm"`` or ``"expm_multiply"``) the harmonic stack took.  An RK45
+    run of a single-frequency H says why in ``floquet_rejected``: ``"tail"``
+    when harmonics +-M still exceed ``FLOQUET_TAIL`` at the last order (it keeps
     that order's ``floquet_order``, ``floquet_tail`` and ``stack_method``),
     ``"stack_dim"`` when the pruned stack at ``floquet_order`` holds
     ``stack_dim`` > ``DENSE_BLOCK_MAX`` states and was never propagated.
     """
     times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or len(times) < 1 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be a strictly increasing 1-D grid")
+    if (times.ndim != 1 or len(times) < 1 or not np.all(np.isfinite(times))
+            or np.any(np.diff(times) <= 0)):
+        raise ValueError("times must be a finite, strictly increasing 1-D grid")
     if rho0.dims != h.dims:
         raise ValueError(f"state dims {rho0.dims} do not match H dims {h.dims}")
     for c in collapse:
@@ -354,6 +346,9 @@ def evolve(h, collapse, rho0, times, validate=True):
     gen = _lindblad_generator(h.constant.data, collapse)
     tones = [tone for tone, _ in h.driven]
     sups = [_commutator(op.data) for _, op in h.driven]
+    inputs = [gen.data, *(s.data for s in sups), [(t.freq, t.phase) for t in tones], v0]
+    if not all(np.all(np.isfinite(x)) for x in inputs):
+        raise ValueError("H, the collapse operators, the tones and rho0 must be finite")
     keep = _touched_block(sum((abs(s) for s in sups), abs(gen)), v0)
     gen, sups, v0 = gen[keep][:, keep], [s[keep][:, keep] for s in sups], v0[keep]
     freqs = {abs(tone.freq) for tone in tones}

@@ -17,8 +17,8 @@ eigen-solve runs only when the Rayleigh quotient of the last top
 eigenvector, a lower bound on the largest eigenvalue, no longer shows the
 gap open.
 
-Resonators play no role here; callers trace them out first (see
-``operators.partial_trace``).
+Resonators play no role here; callers trace them out first with
+``operators.partial_trace``, the one-state case of ``operators.trace_out``.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Configuration parsing, bundled presets, and the command-line verbs."""
 
 import json
+import math
 import warnings
 
 import numpy as np
@@ -395,6 +396,33 @@ sweep:
     one_row = _write(tmp_path, "time_us\tcoherence\n0.0\t1.0\n", "one_row.tsv")
     assert cli.main(["fit", str(one_row)]) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+
+
+@pytest.mark.parametrize("old, new, field", [
+    ("t1_ge: [18.0, 8.0]", "t1_ge: [.nan, 8.0]", "noise.t1_ge"),
+    ("snapshots: 17", "snapshots: 17\n  skip_initial_us: .nan", "scenario.skip_initial_us"),
+    ("t_phi_ff: 4.4", "t_phi_ff: 4.4\n  kappa: [.nan, 0.48]", "noise.kappa"),
+    ("alpha_1: -116.4", "alpha_1: .nan", "device.alpha_1"),
+    ("tmax_us: 4.0", "tmax_us: .inf", "scenario.tmax_us"),
+])
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, old, new, field):
+    """A NaN, or an infinity outside the noise timescales, is a config error
+    naming the field (exit 2) before anything runs."""
+    path = _write(tmp_path, FAST_SCENARIO.replace(old, new))
+    outdir = tmp_path / "out"
+    assert cli.main(["run", str(path), "--outdir", str(outdir)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "config" and err["message"].startswith(field + ":")
+    assert not outdir.exists()
+
+
+def test_infinite_noise_timescales_stay_legal(tmp_path):
+    """An infinite timescale switches its channel off, as the default does."""
+    base = config.load_config(_write(tmp_path, FAST_SCENARIO, "base.yaml"))
+    cfg = config.load_config(_write(tmp_path, FAST_SCENARIO.replace(
+        "t_phi_ff: 4.4", "t_phi_ff: 4.4\n  t1_up: [.inf, .inf]")))
+    assert cfg.noise.t1_up == (math.inf, math.inf)
+    assert len(model.collapse_operators(cfg.noise)) == len(model.collapse_operators(base.noise))
 
 
 def test_main_sweep_past_floquet_truncation(tmp_path):

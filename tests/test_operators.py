@@ -13,7 +13,6 @@ from aqecsim.operators import (
     StateVector,
     basis_index,
     basis_state,
-    block_trace_out,
     destroy,
     embed,
     expectation,
@@ -25,6 +24,7 @@ from aqecsim.operators import (
     trace_out,
     validate_state,
 )
+from aqecsim.solver import Trajectory
 
 
 def test_basis_index_examples():
@@ -137,21 +137,36 @@ def test_partial_trace_keeps_two_of_four():
 @pytest.mark.parametrize("dims, kept", [(FULL_DIMS, (0, 1)), (FULL_DIMS, (1, 3)),
                                         (QQ_DIMS, (0, 1)), ((2, 3, 3), (0,)),
                                         ((4, 3, 2), (2,))])
-def test_block_trace_out_matches_trace_out(dims, kept):
-    """The partial trace of a stack's block snapshots equals trace_out of
-    the full stack bit for bit, with 2- and 3-level subsystems traced."""
+def test_block_trace_out_matches_trace_out(dims, kept, reference_trace_out):
+    """The partial trace of a Trajectory over a stack's nonzero entries
+    equals np.trace of the full stack bit for bit, with 2- and 3-level
+    subsystems traced."""
     rng = np.random.default_rng(3)
     n = int(np.prod(dims))
     stack = rng.normal(size=(5, n, n)) + 1j * rng.normal(size=(5, n, n))
     stack[rng.random(stack.shape) < 0.4] = 0.0
     flat = stack.reshape(5, -1)
     keep = np.flatnonzero(np.any(flat, axis=0))
-    kept_dims, reduced = block_trace_out(flat[:, keep], keep, dims, kept)
-    ref_dims, ref = trace_out(stack, dims, kept)
+    traj = Trajectory(np.arange(5.0), flat[:, keep], dims, keep)
+    kept_dims, reduced = trace_out(traj, kept)
+    ref_dims, ref = reference_trace_out(stack, dims, kept)
     assert kept_dims == ref_dims
     assert np.array_equal(reduced, ref)
     with pytest.raises(ValueError):
-        block_trace_out(flat[:, keep], keep, dims, ())
+        trace_out(traj, ())
+
+
+def test_partial_trace_of_full_state_matches_reference(reference_trace_out):
+    """partial_trace of one FULL_DIMS state, a one-row block of its nonzero
+    entries, equals np.trace of the full matrix bit for bit."""
+    rng = np.random.default_rng(5)
+    n = int(np.prod(FULL_DIMS))
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    m[rng.random(m.shape) < 0.4] = 0.0
+    r9 = partial_trace(DensityMatrix(FULL_DIMS, m), keep=(0, 1))
+    ref_dims, ref = reference_trace_out(m, FULL_DIMS, (0, 1))
+    assert r9.dims == ref_dims == QQ_DIMS
+    assert np.array_equal(r9.data, ref)
 
 
 def test_validate_state_pass_and_fail():

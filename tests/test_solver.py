@@ -21,7 +21,6 @@ from aqecsim.operators import (
     identity,
     ket_projector,
     tensor,
-    trace_out,
     validate_state,
 )
 
@@ -72,6 +71,25 @@ def test_evolve_input_validation(device):
     bad_collapse = [tensor(identity(3), identity(3))]
     with pytest.raises(ValueError):
         solver.evolve(h, bad_collapse, rho0, np.linspace(0.0, 1.0, 3))
+
+
+def test_evolve_rejects_non_finite_input(device):
+    """A NaN or infinite time, a NaN entry of H or of rho0 and a NaN tone
+    frequency are ValueErrors naming finiteness, raised before anything is
+    propagated."""
+    h = _free_hamiltonian(device)
+    rho0 = model.logical_state("L0").to_density()
+    for times in ([math.nan], [0.0, math.nan], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            solver.evolve(h, [], rho0, np.array(times))
+    data = h.constant.data.copy()
+    data[0, 0] = math.nan
+    bad_h = model.HamiltonianSpec(LabeledOperator(h.dims, data))
+    bad_tone = model.HamiltonianSpec(h.constant, ((model.Tone(math.nan), h.constant),))
+    bad_rho0 = DensityMatrix(rho0.dims, np.where(rho0.data != 0, math.nan, 0.0))
+    for spec, state in ((bad_h, rho0), (bad_tone, rho0), (h, bad_rho0)):
+        with pytest.raises(ValueError, match="finite"):
+            solver.evolve(spec, [], state, np.linspace(0.0, 1.0, 3))
 
 
 def test_single_time_returns_initial_state(device, full_drive):
@@ -434,13 +452,13 @@ def test_floquet_base_block_matches_full_stack():
 
 @pytest.mark.parametrize("source, initial", [("free_decay", "Lx"), ("aqec", "L0"),
                                              ("qr_frequency", None)])
-def test_block_route_matches_full_stack_route(source, initial):
+def test_block_route_matches_full_stack_route(source, initial, reference_trace_out):
     """Every reader of a trajectory gets from its block what it gets from the
-    full (nt, 36, 36) view: the metrics bit for bit those of ``trace_out``
-    of the full view, the observables to 1e-15, validate_state's Hermiticity
-    and trace deviations exactly and its smallest eigenvalue to 1e-15, and
-    state(i) exactly; on two preset blocks and one Floquet offset of the
-    benchmark's qr_frequency chevron."""
+    full (nt, 36, 36) view: the metrics bit for bit those of the 9x9 states
+    that np.trace of the full view gives, the observables to 1e-15,
+    validate_state's Hermiticity and trace deviations exactly and its
+    smallest eigenvalue to 1e-15, and state(i) exactly; on two preset blocks
+    and one Floquet offset of the benchmark's qr_frequency chevron."""
     if initial is None:
         h, collapse, psi0, times = _benchmark_sweep_case(source, 0.5)
         rho0 = psi0.to_density()
@@ -461,7 +479,7 @@ def test_block_route_matches_full_stack_route(source, initial):
 
     assert np.array_equal(np.stack([traj.state(i).data for i in range(len(traj))]), full)
     snapshots = [DensityMatrix(QQ_DIMS, m)
-                 for m in trace_out(full, FULL_DIMS, keep=range(len(QQ_DIMS)))[1]]
+                 for m in reference_trace_out(full, FULL_DIMS, keep=range(len(QQ_DIMS)))[1]]
     for label in labels:
         for metric in (analysis.error_population, analysis.coherence_metric):
             assert np.array_equal(metric(traj, label), [metric(s, label) for s in snapshots])
@@ -617,12 +635,11 @@ def test_validation_meta_matches_per_snapshot_eigvalsh(device, full_drive):
 def test_floquet_truncation_guard(monkeypatch):
     """Too few harmonics for the drive send the block to RK45 instead of
     returning a truncated answer; the meta keeps the rejected M and tail.
-    With ``FLOQUET_ORDER`` below ``FLOQUET_FIRST_ORDER``, M = 1 is the only
-    order tried."""
+    With ``FLOQUET_ORDERS`` = (1,), M = 1 is the only order tried."""
     h, collapse = _red_sweep_hamiltonian(0.5)
     rho0 = basis_state(FULL_DIMS, "gf00").to_density()
     times = np.linspace(0.0, 1.0, 5)
-    monkeypatch.setattr(solver, "FLOQUET_ORDER", 1)
+    monkeypatch.setattr(solver, "FLOQUET_ORDERS", (1,))
     traj = solver.evolve(h, collapse, rho0, times)
     assert traj.meta["method"] == "rk45" and traj.meta["nfev"] > 0
     assert traj.meta["floquet_rejected"] == "tail"
@@ -646,13 +663,13 @@ def test_floquet_order_is_smallest_that_passes(axis, freq, order):
     M = 4, 6, 8 whose harmonics +-M pass the tail test; at the next smaller
     even order, where one is tried, the full-stack reference fails it."""
     h, collapse, psi0, times = _benchmark_sweep_case(axis, freq)
-    assert (solver.FLOQUET_FIRST_ORDER, solver.FLOQUET_ORDER) == (4, 8)
+    assert solver.FLOQUET_ORDERS == (4, 6, 8)
     v0 = psi0.to_density().data.ravel()
     keep, tones, gen, sups = _reduced(h, collapse, v0)
     _, meta = solver._propagate_floquet(tones, gen, sups, v0[keep], times)
     assert meta["method"] == "floquet" and meta["floquet_order"] == order
     assert meta["floquet_tail"] <= solver.FLOQUET_TAIL
-    if order > solver.FLOQUET_FIRST_ORDER:
+    if order > solver.FLOQUET_ORDERS[0]:
         *_, smaller_tail = _full_stack_floquet(h, collapse, v0, times, order - 2)
         assert smaller_tail > solver.FLOQUET_TAIL
 
@@ -682,7 +699,7 @@ def test_floquet_stack_above_dense_cap_goes_to_rk45(monkeypatch):
     assert propagated == []
     assert all(t.meta["method"] == "rk45" and t.meta["nfev"] > 0 for t in trajs)
     assert trajs[0].meta["floquet_rejected"] == "stack_dim"
-    assert trajs[0].meta["floquet_order"] == solver.FLOQUET_FIRST_ORDER
+    assert trajs[0].meta["floquet_order"] == solver.FLOQUET_ORDERS[0]
     assert trajs[0].meta["stack_dim"] > solver.DENSE_BLOCK_MAX
     assert "floquet_tail" not in trajs[0].meta
     assert "floquet_order" not in trajs[1].meta
