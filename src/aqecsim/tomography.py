@@ -17,8 +17,8 @@ eigen-solve runs only when the Rayleigh quotient of the last top
 eigenvector, a lower bound on the largest eigenvalue, no longer shows the
 gap open.
 
-Resonators play no role here; callers trace them out first with
-``operators.partial_trace``, the one-state case of ``operators.trace_out``.
+Resonators play no role here; callers trace them out first, once per
+trajectory, with ``operators.trace_out``.
 """
 
 from __future__ import annotations
@@ -171,7 +171,7 @@ class Tomogram:
         for key in ("shots", "seed"):
             if key not in meta:
                 raise ValueError(f"{path}: tomogram header has no {key}=")
-        table = np.loadtxt(path, dtype=np.int64, skiprows=2)
+        table = np.loadtxt(path, dtype=np.int64, skiprows=2, ndmin=2)
         return Tomogram(table[:, 1:], int(meta["shots"]), int(meta["seed"]))
 
 

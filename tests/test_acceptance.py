@@ -14,7 +14,7 @@ from scipy.linalg import expm
 from scipy.optimize import curve_fit
 
 from aqecsim import analysis, config, model, solver, tomography
-from aqecsim.operators import LabeledOperator, identity, tensor
+from aqecsim.operators import QQ_DIMS, LabeledOperator, identity, tensor, trace_out
 
 TWOPI = 2.0 * math.pi
 
@@ -45,10 +45,11 @@ def arm_runs():
             traj = solver.evolve(h, collapse,
                                  model.logical_state(initial).to_density(),
                                  times)
+            r9 = trace_out(traj, range(len(QQ_DIMS)))[1]
             runs[(arm, initial)] = {
                 "times": times, "traj": traj,
-                "err": analysis.error_population(traj, initial),
-                "coh": analysis.coherence_metric(traj, initial),
+                "err": analysis.error_population(r9, initial),
+                "coh": analysis.coherence_metric(r9, initial),
                 "skip": cfg.scenario.fit_skip_us}
     return runs
 
@@ -146,7 +147,7 @@ def test_criterion_05_break_even(device, report):
     times = np.linspace(0.0, 27.0, 109)
     traj = solver.evolve(h, model.collapse_operators(noise),
                          model.logical_state("L0").to_density(), times)
-    coh = analysis.coherence_metric(traj, "L0")
+    coh = analysis.coherence_metric(trace_out(traj, range(len(QQ_DIMS)))[1], "L0")
     fit = analysis.fit_exponential(times, coh, skip_initial=1.5)
     passed = fit.tau > 10.0
     report(5, passed, f"corrected logical tau {fit.tau:.1f} us vs 10 us "

@@ -8,10 +8,12 @@ import pytest
 from aqecsim import analysis, model, solver
 from aqecsim.operators import (
     FULL_DIMS,
+    DensityMatrix,
     basis_index,
     basis_state,
     ket_projector,
     partial_trace,
+    trace_out,
 )
 
 
@@ -44,9 +46,9 @@ def test_level_spec_validation():
 
 def test_error_population_on_named_states():
     for label in ("L0", "L1", "Lx"):
-        rho = model.logical_qutrit_state(label).to_density()
+        rho = model.logical_qutrit_state(label).to_density().data
         assert analysis.error_population(rho, label) == pytest.approx(0.0)
-    e01 = model.logical_qutrit_state("E01").to_density()
+    e01 = model.logical_qutrit_state("E01").to_density().data
     assert analysis.error_population(e01, "L0") == pytest.approx(1.0)
     assert analysis.error_population(e01, "Lx") == pytest.approx(1.0)
     assert analysis.error_population(e01, "L1") == pytest.approx(0.0)
@@ -54,24 +56,34 @@ def test_error_population_on_named_states():
         analysis.error_population(e01, "E01")
 
 
-def test_metrics_accept_full_space_states():
+def test_metrics_take_two_transmon_states_only():
+    """The metrics read a 9x9 state or any stack of them, with one value per
+    state; a full-space state is traced to the transmons first.  Any other
+    shape, or a DensityMatrix object itself, raises ValueError."""
     rho_full = model.logical_state("L0").to_density()
-    assert analysis.error_population(rho_full, "L0") == pytest.approx(0.0)
-    assert analysis.coherence_metric(rho_full, "L0") == pytest.approx(1.0)
-    bad = basis_state((3, 2), "g0").to_density()
-    with pytest.raises(ValueError):
-        analysis.error_population(bad, "L0")
+    r9 = partial_trace(rho_full, (0, 1)).data
+    assert analysis.error_population(r9, "L0") == pytest.approx(0.0)
+    assert analysis.coherence_metric(r9, "L0") == pytest.approx(1.0)
+    stack = np.stack([r9, model.logical_qutrit_state("E01").to_density().data] * 3)
+    for metric in (analysis.error_population, analysis.coherence_metric):
+        for label in ("L0", "L1", "Lx"):
+            values = metric(stack.reshape(3, 2, 9, 9), label)
+            assert values.shape == (3, 2)
+            assert np.array_equal(values.ravel(), [metric(m, label) for m in stack])
+        for bad in (rho_full.data, rho_full, DensityMatrix((3, 3), r9),
+                    basis_state((3, 2), "g0").to_density().data, r9[0]):
+            with pytest.raises(ValueError):
+                metric(bad, "L0")
 
 
 def test_coherence_metric_is_one_on_pure_logical_states():
     for label in ("L0", "L1", "Lx"):
-        rho = model.logical_qutrit_state(label).to_density()
+        rho = model.logical_qutrit_state(label).to_density().data
         assert analysis.coherence_metric(rho, label) == pytest.approx(1.0)
     # fully dephased mixture of the L1 branches has no coherence
     mix = 0.5 * (basis_state((3, 3), "gg").to_density().data
                  + basis_state((3, 3), "ff").to_density().data)
-    from aqecsim.operators import DensityMatrix
-    assert analysis.coherence_metric(DensityMatrix((3, 3), mix), "L1") == 0.0
+    assert analysis.coherence_metric(mix, "L1") == 0.0
 
 
 def _reference_metrics(r9, label):
@@ -98,16 +110,17 @@ def test_trajectory_metrics_equal_per_snapshot_loop(device_with_shifts, full_dri
     traj = solver.evolve(h, model.collapse_operators(noise),
                          model.logical_state("Lx").to_density(),
                          np.linspace(0.0, 1.0, 9))
-    r9s = [partial_trace(traj.state(i), keep=(0, 1)).data
-           for i in range(len(traj))]
+    r9s = [partial_trace(DensityMatrix(FULL_DIMS, m), keep=(0, 1)).data
+           for m in traj.full_states()]
+    stack = trace_out(traj, (0, 1))[1]
     for label in ("L0", "L1", "Lx"):
         ref = np.array([_reference_metrics(r9, label) for r9 in r9s])
-        err = analysis.error_population(traj, label)
-        coh = analysis.coherence_metric(traj, label)
+        err = analysis.error_population(stack, label)
+        coh = analysis.coherence_metric(stack, label)
         assert err.shape == coh.shape == (len(traj),)
         assert np.array_equal(err, ref[:, 0])
         assert np.array_equal(coh, ref[:, 1])
-        assert analysis.coherence_metric(traj.state(7), label) == coh[7]
+        assert analysis.coherence_metric(r9s[7], label) == coh[7]
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +143,14 @@ def test_fit_skip_window_excludes_early_samples():
     assert fit.tau == pytest.approx(10.0, rel=1e-6)
 
 
-def test_fit_exponential_failure_modes():
+def test_fit_exponential_failure_modes(monkeypatch):
     t = np.linspace(0.0, 10.0, 21)
     with pytest.raises(analysis.FitError):
         analysis.fit_exponential(t, np.full_like(t, 0.3))
-    with pytest.raises(analysis.FitError):
-        # growth data with a growth-shaped starting point converges to a
-        # negative decay constant, which is rejected
-        analysis.fit_exponential(t, np.exp(t / 5.0), p0=(1.0, -5.0, 0.0))
+    with pytest.raises(analysis.FitError, match="covariance could not be estimated"):
+        # a step at t = 0 fits as a decay far faster than the 0.5 us spacing
+        # (tau ~ 7e-4 us), which leaves the covariance undetermined
+        analysis.fit_exponential(t, np.eye(1, len(t))[0])
     with pytest.raises(analysis.FitError, match="exceeds 100x the fitted span"):
         # from the default start the same growth data converge to tau far
         # beyond the window (2.8e5 us over a 10 us span)
@@ -146,6 +159,11 @@ def test_fit_exponential_failure_modes():
         analysis.fit_exponential(t, np.exp(-t), skip_initial=9.9)
     with pytest.raises(ValueError):
         analysis.fit_exponential(t, np.exp(-t[:-1]))
+    # a fit that converges to a negative decay constant is a growth fit
+    monkeypatch.setattr(analysis, "curve_fit",
+                        lambda *args, **kwargs: (np.array([1.0, -5.0, 0.0]), np.eye(3)))
+    with pytest.raises(analysis.FitError, match="growing exponential"):
+        analysis.fit_exponential(t, np.exp(-t))
 
 
 def test_fit_uncertainty_covers_truth_over_seeds():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from aqecsim import cli, config, model, tomography
+from aqecsim import analysis, cli, config, model, operators, solver, tomography
 from aqecsim.operators import DensityMatrix
 
 FAST_SCENARIO = """
@@ -296,6 +296,26 @@ def test_run_scenario_initial_override(tmp_path):
     assert summary.name == "fast_L0_summary.txt"
 
 
+def test_run_scenario_traces_resonators_out_once(tmp_path, monkeypatch):
+    """A run with two tomography snapshots reduces its trajectory to the two
+    transmons once: both metrics and both tomograms read that one stack."""
+    calls = []
+    original = operators.trace_out
+
+    def counting(rho, kept):
+        calls.append(type(rho))
+        return original(rho, kept)
+
+    for module in (operators, analysis, cli, solver, tomography):
+        if getattr(module, "trace_out", None) is original:
+            monkeypatch.setattr(module, "trace_out", counting)
+    text = FAST_SCENARIO + "  tomography:\n    shots: 100\n    snapshots: [0, 8]\n"
+    summary = cli.run_scenario(_write(tmp_path, text), tmp_path / "out")
+    assert calls == [solver.Trajectory]
+    entries = cli._read_summary(summary)
+    assert {"tomography_fidelity_snapshot_0", "tomography_fidelity_snapshot_8"} <= set(entries)
+
+
 # ---------------------------------------------------------------------------
 # other verbs through main()
 
@@ -350,6 +370,17 @@ def test_main_tomo_rejects_a_tomogram_without_header(tmp_path, capsys):
     assert not tomo_path.with_suffix(".rho.npy").exists()
 
 
+@pytest.mark.filterwarnings("ignore:loadtxt")  # numpy's note on a table with no rows
+def test_main_tomo_rejects_short_tomograms(tmp_path, capsys):
+    head = "# shots=100 seed=1\n# rotation\t" + "\t".join(tomography._BASIS_LABELS) + "\n"
+    for rows in ("", "0" + "\t11" * 9 + "\n"):
+        tomo_path = _write(tmp_path, head + rows, "short_tomo.tsv")
+        assert cli.main(["tomo", str(tomo_path)]) == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "ValueError" and "81x9" in err["message"]
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt")  # numpy's note on a table with no rows
 def test_main_error_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "no_such_preset"]) == 2
     err = capsys.readouterr().err
@@ -392,10 +423,11 @@ sweep:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "config" and err["message"].startswith(field + ":")
         assert not outdir.exists()
-    # a series with one data row is too short to fit: exit 1 with a record
-    one_row = _write(tmp_path, "time_us\tcoherence\n0.0\t1.0\n", "one_row.tsv")
-    assert cli.main(["fit", str(one_row)]) == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
+    # a series with one data row or none is too short to fit: exit 1 with a record
+    for rows in ("0.0\t1.0\n", ""):
+        short = _write(tmp_path, "time_us\tcoherence\n" + rows, "short.tsv")
+        assert cli.main(["fit", str(short)]) == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "ValueError"
 
 
 @pytest.mark.parametrize("old, new, field", [

@@ -17,6 +17,7 @@ from aqecsim.operators import (
     identity,
     ket_projector,
     number,
+    partial_trace,
     tensor,
 )
 
@@ -50,7 +51,7 @@ def test_error_states_and_projectors():
         assert state.amplitudes[basis_index(FULL_DIMS, basis + "00")] == 1.0
     # E_jk counts as an error of logical state j and of Lx, not of the other
     for label in model.ERROR_STATES:
-        rho = model.logical_state(label).to_density()
+        rho = partial_trace(model.logical_state(label).to_density(), (0, 1)).data
         own, other = ("L0", "L1") if label in model.CODE["L0"].errors else ("L1", "L0")
         assert analysis.error_population(rho, own) == pytest.approx(1.0)
         assert analysis.error_population(rho, "Lx") == pytest.approx(1.0)
@@ -265,7 +266,7 @@ def test_logical_manifold_is_dark(device):
     assert abs(coupling[basis_index(FULL_DIMS, "ee00")]) < 1e-12
     proj = LabeledOperator(FULL_DIMS, psi.to_density().data)
     traj = solver.evolve(h, [], psi.to_density(), np.linspace(0.0, 10.0, 21))
-    fidelity = min(expectation(traj.state(i), proj).real for i in range(len(traj)))
+    fidelity = min(np.trace(m @ proj.data).real for m in traj.full_states())
     assert 1.0 - fidelity < 1e-6
 
 
