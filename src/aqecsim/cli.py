@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -214,7 +215,9 @@ def run_fit(series_path, column="coherence", skip=0.0):
         names = fh.readline().split()
     if column not in names:
         raise ConfigError(f"column {column!r} not in {names}")
-    data = np.loadtxt(series_path, skiprows=1, ndmin=2)
+    with warnings.catch_warnings():  # no data rows: the shape check below says so
+        warnings.filterwarnings("ignore", "loadtxt", UserWarning)
+        data = np.loadtxt(series_path, skiprows=1, ndmin=2)
     if data.shape[1] != len(names):
         raise ValueError(f"{series_path}: data of shape {data.shape} for {len(names)} columns")
     fit = analysis.fit_exponential(data[:, 0], data[:, names.index(column)],

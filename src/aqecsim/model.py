@@ -5,15 +5,14 @@ The single 2*pi conversion to angular units happens here, during Hamiltonian
 and collapse-operator assembly; nothing downstream applies it again.
 
 The six always-on sideband drives are written once, in :data:`DRIVES`, and
-all three frames are derived from that table, one builder each:
+all three frames are derived from that table, one builder each.  A driven
+term at frequency f is the pair (Tone(f), O), (Tone(-f), O^dag).
 
 * lab frame (:func:`build_lab_hamiltonian`) -- Duffing transmons plus
-  explicitly modulated charge/flux coupling products, one carrier
-  :class:`Tone` per drive, its carrier, amplitude and phase read off the
-  lab levels and couplings,
+  explicitly modulated charge/flux coupling products, one carrier pair per
+  drive, read off the lab levels and couplings,
 * logical-static frame (:func:`build_static_hamiltonian`) -- all logical
-  states at zero energy, the four two-transmon (QQ) sideband terms carry
-  explicit exp(+-2*pi*i*nu*t) phases (a cosine and a sine :class:`Tone`),
+  states at zero energy, one pair per sweep axis at its detuning,
 * fully-rotated frame (:func:`build_rotating_hamiltonian`) -- time
   independent, detunings appear as diagonal energies.
 
@@ -26,6 +25,7 @@ zeros.  The lab frame has no shift terms.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from collections import namedtuple
@@ -147,21 +147,20 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class Tone:
-    """Drive coefficient cos(2*pi*freq*t + phase), freq in MHz and t in us."""
+    """Drive coefficient exp(2*pi*i*freq*t), freq in MHz (either sign) and t in us."""
 
     freq: float
-    phase: float = 0.0
 
     def __call__(self, t):
-        return math.cos(TWOPI * self.freq * t + self.phase)
+        return cmath.exp(1j * TWOPI * self.freq * t)
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """H(t) = constant + sum_k c_k(t) * O_k, already in angular units (rad/us).
 
-    Every O_k is Hermitian and every c_k a real :class:`Tone`, so H(t) is
-    Hermitian for all t.
+    The driven terms come in pairs (Tone(f), O), (Tone(-f), O^dag), one per
+    drive, so H(t) is Hermitian for all t (``solver.evolve`` checks it).
     """
 
     constant: LabeledOperator
@@ -306,14 +305,6 @@ def _frame_diagonal(device):
     return h
 
 
-def _hermitian_pair(raising):
-    """Split W*O into the two Hermitian quadrature operators for a rotating
-    coefficient: c(t)*O + c*(t)*O^dag = cos*(O+O^dag) + sin*(i(O-O^dag))."""
-    o = raising.data
-    return (LabeledOperator(raising.dims, o + o.conj().T),
-            LabeledOperator(raising.dims, 1j * (o - o.conj().T)))
-
-
 def build_rotating_hamiltonian(device, drive):
     """Fully-rotated (time-independent) frame Hamiltonian.
 
@@ -340,7 +331,7 @@ build_rotating_full_hamiltonian = build_rotating_hamiltonian
 
 def build_static_hamiltonian(device, drive, *, red_offset=0.0, blue_offset=0.0,
                              qr_offset=0.0):
-    """Logical-static frame: QQ terms carry explicit exp(2*pi*i*nu*t) phases.
+    """Logical-static frame: each axis's raising part O at exp(2*pi*i*f*t), O^dag at -f.
 
     Includes the dispersive and ZZ shifts exactly as
     :func:`build_rotating_hamiltonian` does.  The keyword offsets (MHz) shift
@@ -353,12 +344,10 @@ def build_static_hamiltonian(device, drive, *, red_offset=0.0, blue_offset=0.0,
         if not np.any(raising.data):  # a tone at rate 0 drives nothing
             continue
         freq = nu + offsets[SWEEP_AXES[axis]]
-        cos_op, sin_op = _hermitian_pair(raising)
         if freq == 0.0:
-            const = const + cos_op.data
+            const = const + (raising + raising.dag()).data
         else:
-            driven.append((Tone(freq), TWOPI * cos_op))
-            driven.append((Tone(freq, -0.5 * math.pi), TWOPI * sin_op))
+            driven += [(Tone(freq), TWOPI * raising), (Tone(-freq), TWOPI * raising.dag())]
     return HamiltonianSpec(LabeledOperator(FULL_DIMS, TWOPI * const + _shifts(device)),
                            tuple(driven))
 
@@ -394,8 +383,8 @@ def _shifts(device):
 
 
 def _lab_frame(device, drive, scale):
-    """Lab constant H (MHz) and (drive, amplitude MHz, Tone, 2*pi*X) for each
-    drive of :data:`DRIVES` with a nonzero rate.
+    """Lab constant H (MHz) and (drive, amplitude MHz, carrier MHz, phase, 2*pi*X)
+    for each drive of :data:`DRIVES` with a nonzero rate.
 
     X is the coupling product the drive modulates (x1 x2, x1 xr1 or x2 xr2).
     The carrier is the lab gap of the first transition minus the detuning (it
@@ -429,27 +418,31 @@ def _lab_frame(device, drive, scale):
         carrier -= getattr(drive, d.detuning) if d.detuning else 0.0
         phase = -drive.phases[d.phase] if d.phase is not None else 0.0
         x = couplings[d.resonator]
-        tones.append((d, getattr(drive, d.rate) / abs(x[i, j]), Tone(carrier, phase),
+        tones.append((d, getattr(drive, d.rate) / abs(x[i, j]), carrier, phase,
                       LabeledOperator(FULL_DIMS, TWOPI * x)))
     return const, tones
 
 
 def build_lab_hamiltonian(device, drive, scale=1.0):
-    """Lab-frame Hamiltonian with explicit carrier cosines.
+    """Lab-frame Hamiltonian, each drive's carrier cosine as its two exponentials.
 
     ``scale`` in (0, 1] multiplies the transmon and resonator frequencies (the
     carriers follow) so the fast oscillations become tractable at desk scale;
     detunings, rates and anharmonicities are untouched.
     """
     const, tones = _lab_frame(device, drive, scale)
-    driven = tuple((tone, amp * op) for _, amp, tone, op in tones)
-    return HamiltonianSpec(LabeledOperator(FULL_DIMS, TWOPI * const), driven)
+    driven = []
+    for _, amp, carrier, phase, x in tones:
+        op = 0.5 * amp * cmath.exp(1j * phase) * x
+        driven += [(Tone(carrier), op), (Tone(-carrier), op.dag())]
+    return HamiltonianSpec(LabeledOperator(FULL_DIMS, TWOPI * const), tuple(driven))
 
 
 def qq_drive_amplitude(device, drive, t, scale=1.0):
     """Lab-frame flux-drive waveform A_QQ(t) in MHz (sum of the four QQ tones)."""
     _, tones = _lab_frame(device, drive, scale)
-    return sum(amp * tone(t) for d, amp, tone, _ in tones if d.resonator is None)
+    return sum(amp * math.cos(TWOPI * carrier * t + phase)
+               for d, amp, carrier, phase, _ in tones if d.resonator is None)
 
 
 # ---------------------------------------------------------------------------

@@ -29,16 +29,17 @@ so it costs about ``MULTIPLY_COST`` (||L0||_1 (t_end - t0) + snapshots).
 Ties go to ``expm_multiply``, and blocks above ``DENSE_BLOCK_MAX`` states
 always take it, for the dense temporaries' memory.
 
-An H whose driven terms all share one frequency w (a single tone, or the
-static frame with one nonzero pair frequency) is propagated exactly too, by
-a truncated Shirley-Floquet expansion (Shirley, Phys. Rev. 138, B979 (1965);
-Grifoni & Hanggi, Phys. Rep. 304, 229 (1998)).  With
+Each c_k(t) is e^{2 pi i f_k t}, in adjoint pairs (f, O), (-f, O^dag) that
+``evolve`` checks.  An H whose terms all share one |f_k| = w / 2pi (a single
+drive, or the static frame with one nonzero pair frequency) is propagated
+exactly too, by a truncated Shirley-Floquet expansion (Shirley, Phys. Rev.
+138, B979 (1965); Grifoni & Hanggi, Phys. Rep. 304, 229 (1998)).  With
 H(t) = H0 + H+ e^{iwt} + H- e^{-iwt} and rho(t) = sum_n e^{inwt} sigma_n(t),
 
     sigma_n' = (L0 - inw) sigma_n + L+ sigma_{n-1} + L- sigma_{n+1},
 
-with sigma_n(t0) = delta_n0 rho0 and L+- = sum_k (1/2) e^{+-i sign(f_k) phi_k} S_k
-over the tones cos(2 pi f_k t + phi_k), |f_k| = w / 2pi.  Cut at |n| <= M
+with sigma_n(t0) = delta_n0 rho0 and L+ (L-) the sum of the S_k of the terms
+at f_k > 0 (f_k < 0).  Cut at |n| <= M
 this is one time-independent generator on 2M+1 copies of the block, whose
 components are finer than the block's, so it is pruned once more to those
 rho0 touches and propagated on the exact path.  M takes the orders
@@ -234,16 +235,13 @@ def _propagate_exact(gen, v0, times):
 
 def _propagate_floquet(tones, gen, sups, v0, times):
     """Exact snapshots of dv/dt = (gen + sum_k c_k(t) S_k) v for tones c_k
-    that all share one |frequency|, by the truncated Shirley-Floquet
+    that all share one nonzero |frequency|, by the truncated Shirley-Floquet
     generator (module docstring) at the first order M that passes, and the
     meta.  The snapshots are None when no order passes or a pruned stack
     exceeds ``DENSE_BLOCK_MAX``; the meta then says why (``evolve``)."""
-    freq = abs(tones[0].freq)
-    w = 2.0 * math.pi * freq
-    # cos(2 pi f t + phi) with f < 0 is cos(w t - phi): e^{iwt} carries e^{-i phi}
-    coefs = [0.5 * np.exp(1j * np.sign(tone.freq) * tone.phase) for tone in tones]
-    s_plus = sum(c * s for c, s in zip(coefs, sups))
-    s_minus = sum(np.conj(c) * s for c, s in zip(coefs, sups))
+    w = 2.0 * math.pi * abs(tones[0].freq)
+    s_plus = sum(s for tone, s in zip(tones, sups) if tone.freq > 0)
+    s_minus = sum(s for tone, s in zip(tones, sups) if tone.freq < 0)
     nb = len(v0)
     for m in FLOQUET_ORDERS:
         stack = (sp.kron(sp.identity(2 * m + 1), gen)
@@ -300,15 +298,15 @@ def _integrate_rk45(tones, gen, sups, v0, times):
 def evolve(h, collapse, rho0, times, validate=True):
     """Propagate drho/dt = -i[H(t), rho] + sum_k D[L_k] rho.
 
-    ``times`` is the finite, strictly increasing snapshot grid (us); the
-    first entry is the initial time.  A non-finite entry of H, a collapse
-    operator, a tone or rho0 raises ValueError.  The generator is restricted
-    to the block of vec(rho) that rho0 touches and propagated on the exact,
-    Shirley-Floquet or RK45 path (module docstring).  The Trajectory holds
-    the block snapshots and their vec(rho) indices ``keep``; entries outside
-    the block are exactly zero and never stored.  Snapshots are renormalized
-    on the block, by the trace of its diagonal entries, when the drift is
-    below 1e-6, otherwise the run errors out.
+    ``times`` is the finite, strictly increasing snapshot grid (us); the first
+    entry is the initial time.  A non-finite entry of H, a collapse operator, a
+    tone or rho0, or unpaired driven terms (module docstring) raise ValueError.
+    The generator is restricted to the block of vec(rho) that rho0 touches and
+    propagated on the exact, Shirley-Floquet or RK45 path (module docstring).
+    The Trajectory holds the block snapshots and their vec(rho) indices
+    ``keep``; entries outside the block are exactly zero and never stored.
+    Snapshots are renormalized on the block, by the trace of its diagonal
+    entries, when the drift is below 1e-6, otherwise the run errors out.
     ``meta`` records the ``method`` (``"expm"`` or ``"expm_multiply"``,
     whichever is predicted to cost less on the block, ``"floquet"`` or
     ``"rk45"``), the propagated ``block_dim`` of vec(rho) (of the 2M+1
@@ -340,9 +338,13 @@ def evolve(h, collapse, rho0, times, validate=True):
     gen = _lindblad_generator(h.constant.data, collapse)
     tones = [tone for tone, _ in h.driven]
     sups = [_commutator(op.data) for _, op in h.driven]
-    inputs = [gen.data, *(s.data for s in sups), [(t.freq, t.phase) for t in tones], v0]
+    inputs = [gen.data, *(s.data for s in sups), [t.freq for t in tones], v0]
     if not all(np.all(np.isfinite(x)) for x in inputs):
         raise ValueError("H, the collapse operators, the tones and rho0 must be finite")
+    parts = {f: sum(op.data for t, op in h.driven if t.freq == f) for f in {t.freq for t in tones}}
+    for f, op in parts.items():
+        if not np.allclose(op, np.conj(parts.get(-f, 0.0)).T, rtol=0.0, atol=1e-12):
+            raise ValueError(f"driven terms at {-f:g} MHz are not the adjoint of those at {f:g}")
     keep = _touched_block(sum((abs(s) for s in sups), abs(gen)), v0)
     gen, sups, v0 = gen[keep][:, keep], [s[keep][:, keep] for s in sups], v0[keep]
     freqs = {abs(tone.freq) for tone in tones}

@@ -370,7 +370,6 @@ def test_main_tomo_rejects_a_tomogram_without_header(tmp_path, capsys):
     assert not tomo_path.with_suffix(".rho.npy").exists()
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt")  # numpy's note on a table with no rows
 def test_main_tomo_rejects_short_tomograms(tmp_path, capsys):
     head = "# shots=100 seed=1\n# rotation\t" + "\t".join(tomography._BASIS_LABELS) + "\n"
     for rows in ("", "0" + "\t11" * 9 + "\n"):
@@ -380,7 +379,6 @@ def test_main_tomo_rejects_short_tomograms(tmp_path, capsys):
         assert err["error"] == "ValueError" and "81x9" in err["message"]
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt")  # numpy's note on a table with no rows
 def test_main_error_exit_codes(tmp_path, capsys):
     assert cli.main(["run", "no_such_preset"]) == 2
     err = capsys.readouterr().err

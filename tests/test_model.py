@@ -118,9 +118,9 @@ def test_static_hamiltonian_skips_tones_at_rate_zero():
     cfg = config.load_preset("echo_4qq")
     assert cfg.drive.omega_qr1 == cfg.drive.omega_qr2 == cfg.drive.nu_b == 0.0
     h = model.build_static_hamiltonian(cfg.device, cfg.drive, qr_offset=0.5)
-    assert len(h.driven) == 2
-    assert all(np.any(op.data) for _, op in h.driven)
-    assert {tone.freq for tone, _ in h.driven} == {cfg.drive.nu_r}
+    (plus, op), (minus, op_dag) = h.driven
+    assert (plus.freq, minus.freq) == (cfg.drive.nu_r, -cfg.drive.nu_r)
+    assert np.any(op.data) and np.array_equal(op_dag.data, op.data.conj().T)
 
 
 def test_rotating_frame_diagonal_energies(device):
@@ -215,13 +215,11 @@ def test_drive_table_builds_written_out_hamiltonians(case):
                               (qr, offset["qr_offset"])):
             if not np.any(raising):
                 continue
-            cos_op = raising + raising.conj().T
-            sin_op = 1j * (raising - raising.conj().T)
             if freq == 0.0:
-                const = const + cos_op
+                const = const + (raising + raising.conj().T)
             else:
-                driven += [(model.Tone(freq), TWOPI * cos_op),
-                           (model.Tone(freq, -0.5 * math.pi), TWOPI * sin_op)]
+                driven += [(model.Tone(freq), TWOPI * raising),
+                           (model.Tone(-freq), TWOPI * raising.conj().T)]
         stat = model.build_static_hamiltonian(device, drive, **{keyword: 0.3})
         assert np.array_equal(stat.constant.data, TWOPI * const + model._shifts(device))
         assert [tone for tone, _ in stat.driven] == [tone for tone, _ in driven]

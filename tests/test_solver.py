@@ -391,8 +391,7 @@ def _full_stack_floquet(h, collapse, v0, times, m):
     sums: the block dimension, the snapshots of vec(rho) and the largest
     entry of harmonics +-M."""
     w = TWOPI * abs(h.driven[0][0].freq)
-    h_plus = sum(0.5 * np.exp(1j * np.sign(tone.freq) * tone.phase) * op.data
-                 for tone, op in h.driven)
+    h_plus = sum(op.data for tone, op in h.driven if tone.freq > 0)
     d2 = len(v0)
     gen = (sp.kron(sp.identity(2 * m + 1), _kron_sum_generator(h.constant.data, collapse))
            + sp.kron(sp.diags(-1j * w * np.arange(-m, m + 1)), sp.identity(d2))
@@ -433,9 +432,11 @@ def test_floquet_base_block_matches_full_stack():
     the solver chose, for the lossless qr_frequency and the lossy
     red_pair_center sweep of the benchmark's chevron workload: M = 4 on the
     qr offset and the red pair at nu_r + 0.5 MHz, M = 6 (after a rejected
-    M = 4) with the red pair at 0.5 MHz."""
+    M = 4) with the red pair at 0.5 MHz.  The qr stack holds exactly the
+    four states the model couples from |E01><E01| = |xx|, x = eg00:
+    sigma_0's |xx| and |yy|, sigma_+1's |yx| and sigma_-1's |xy|, y = fg10."""
     nu_r = config.load_preset("echo_4qq").drive.nu_r
-    for axis, freq, order, block in (("qr_frequency", 0.5, 4, 18),
+    for axis, freq, order, block in (("qr_frequency", 0.5, 4, 4),
                                      ("red_pair_center", nu_r + 0.5, 4, 149),
                                      ("red_pair_center", 0.5, 6, 215)):
         h, collapse, psi0, times = _benchmark_sweep_case(axis, freq)
@@ -709,14 +710,31 @@ def test_floquet_stack_above_dense_cap_goes_to_rk45(monkeypatch):
     assert np.max(np.abs(trajs[0].full_states() - trajs[1].full_states())) <= 1e-10
 
 
-def test_tone_is_a_phased_cosine():
+def test_tone_is_a_complex_exponential():
+    """Tone(f)(t) = cos(2 pi f t) + i sin(2 pi f t) for either sign of f."""
     rng = np.random.default_rng(3)
     for t in rng.uniform(-5.0, 5.0, size=50):
-        assert model.Tone(0.7)(t) == pytest.approx(math.cos(TWOPI * 0.7 * t), abs=1e-12)
-        assert model.Tone(0.7, -0.5 * math.pi)(t) == pytest.approx(
-            math.sin(TWOPI * 0.7 * t), abs=1e-12)
-        assert model.Tone(-1.3, 0.4)(t) == pytest.approx(
-            math.cos(0.4 - TWOPI * 1.3 * t), abs=1e-12)
+        for f in (0.7, -1.3):
+            theta = TWOPI * f * t
+            assert model.Tone(f)(t) == pytest.approx(complex(math.cos(theta), math.sin(theta)),
+                                                     abs=1e-12)
+
+
+def test_evolve_rejects_unpaired_driven_terms(monkeypatch):
+    """A driven term without its -f partner, or with a partner that is not
+    its adjoint, is a ValueError raised before anything is propagated."""
+    h, collapse = _red_sweep_hamiltonian(0.5)
+    (plus, op), (minus, op_dag) = h.driven
+    assert minus.freq == -plus.freq and np.array_equal(op_dag.data, op.data.conj().T)
+    assert not np.array_equal(op.data, op_dag.data)
+    for name in ("_touched_block", "_propagate_exact", "_propagate_floquet",
+                 "_integrate_rk45"):
+        monkeypatch.setattr(solver, name, lambda *args: pytest.fail("propagated"))
+    rho0 = basis_state(FULL_DIMS, "gf00").to_density()
+    for driven in (((plus, op),), ((plus, op), (minus, op))):
+        spec = model.HamiltonianSpec(h.constant, driven)
+        with pytest.raises(ValueError, match="adjoint"):
+            solver.evolve(spec, collapse, rho0, np.linspace(0.0, 1.0, 3))
 
 
 def test_refill_rate_values_and_limits():
