@@ -196,12 +196,20 @@ def fit_exponential(t, y, skip_initial=0.0):
         with np.errstate(over="ignore"):
             return a * np.exp(-tt / tau) + c
 
+    def jac(tt, a, tau, c):
+        # analytic: a finite-difference step of sqrt(eps) |c| vanishes in the
+        # data when the fitted C is ~1e-13, and the covariance with it
+        e = np.exp(-tt / tau)
+        return np.column_stack([e, a * tt * e / tau**2, np.ones_like(tt)])
+
     span = tf[-1] - tf[0]
     p0 = (yf[0] - yf[-1], max(span / 3.0, 1e-3), yf[-1])
     try:
-        with warnings.catch_warnings():  # a missing covariance is a FitError below
+        # a missing covariance, or an infinite one scaled by a zero residual
+        # (NaN), is a FitError below
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
             warnings.simplefilter("ignore", OptimizeWarning)
-            popt, pcov = curve_fit(f, tf, yf, p0=p0, maxfev=20000)
+            popt, pcov = curve_fit(f, tf, yf, p0=p0, jac=jac, maxfev=20000)
     except RuntimeError as exc:
         raise FitError(f"exponential fit did not converge: {exc}") from exc
     a, tau, c = popt

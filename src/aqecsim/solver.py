@@ -15,6 +15,15 @@ every other entry of vec(rho) stays exactly zero and is never stored, and
 the trace check, the renormalization, ``validate_state``, the two-qutrit
 reduction (``operators.trace_out``) and ``observable_series`` all read it.
 
+Every propagator runs in real arithmetic.  The generator maps Hermitian rho
+to Hermitian rho, so in the coordinates diag, sqrt2 Re and sqrt2 Im of rho
+(Alicki & Lendi, Lect. Notes Phys. 286 (1987); the basis tomography's
+``_coords`` uses) it is a real matrix.  rho0 is Hermitian, so its block is
+closed under the conjugation (i, j) -> (j, i), and the sparse unitary T of
+``_conjugation_map`` takes the block to those coordinates: the propagators
+run on T^H L T, and their snapshots are mapped back to the block.  A block
+that is not closed, or a T^H L T with an imaginary part, raises instead.
+
 A time-independent H (the fully rotated frame) is propagated exactly on L0,
 by whichever of two methods is predicted to cost less on the block.  Dense
 ``expm`` (scaling and squaring, Moler & Van Loan, SIAM Rev. 45, 3 (2003);
@@ -42,8 +51,10 @@ with sigma_n(t0) = delta_n0 rho0 and L+ (L-) the sum of the S_k of the terms
 at f_k > 0 (f_k < 0).  Cut at |n| <= M
 this is one time-independent generator on 2M+1 copies of the block, whose
 components are finer than the block's, so it is pruned once more to those
-rho0 touches and propagated on the exact path.  M takes the orders
-``FLOQUET_ORDERS`` in turn, and the first truncation whose harmonics +-M are
+rho0 touches and propagated on the exact path.  Since sigma_-n =
+sigma_n^dag, the pruned stack is closed under (n, k) -> (-n, k^T), k^T the
+transposed entry of k, and its real form pairs those entries.  M takes the
+orders ``FLOQUET_ORDERS`` in turn, and the first truncation whose harmonics +-M are
 negligible is the answer.  If none is, or if a pruned stack holds more than
 ``DENSE_BLOCK_MAX`` states (it is then not propagated: a larger M only grows
 it, and on the aqec stacks of that size RK45 on the block was as fast or
@@ -54,7 +65,8 @@ carriers, the static frame with two nonzero pair frequencies), or with one
 frequency whose Floquet stack failed or grew too large, is integrated with
 adaptive embedded Runge-Kutta 4(5) (scipy ``solve_ivp``):
 dv/dt = (L0 + sum_k c_k(t) S_k) v on the block, evaluating every c_k at every
-internal stage.
+internal stage.  In real coordinates each pair (f, O), (-f, O^dag) is one
+term cos(2 pi f t) A + sin(2 pi f t) B (``_integrate_rk45``).
 """
 
 from __future__ import annotations
@@ -67,7 +79,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import expm_multiply
@@ -82,12 +93,14 @@ DEFAULT_ATOL = 1e-10
 DEFAULT_MAX_STEP = 0.01
 TRACE_DRIFT_LIMIT = 1e-6
 # Two jobs.  The largest block exponentiated densely, for memory: scipy's expm
-# holds about nine n x n complex temporaries (+18.5 MB at n = 366, +32 MB at
-# 500).  And the largest pruned Floquet stack propagated at all; a larger one
-# sends the block to RK45.  On single-tone aqec blocks with 1,668- to
-# 3,132-state stacks, RK45 was 1.8-3.6x faster than the order search, and no
-# slower than the passing order alone, on expm_multiply; it agreed with
-# DOP853 to 7.5e-8 against Floquet's 4e-9 (BENCH_16.json).
+# holds about nine n x n temporaries.  In a fresh process one expm of the
+# 366-state aqec block raises peak RSS by 12.1 MB in real form and 19.5 MB in
+# complex form (+32 MB complex at n = 500).  And the largest pruned Floquet
+# stack propagated at all; a larger one sends the block to RK45.  On
+# single-tone aqec blocks with 1,668- to 3,132-state stacks, RK45 was
+# 1.8-3.6x faster than the order search, and no slower than the passing
+# order alone, on expm_multiply; it agreed with DOP853 to 7.5e-8 against
+# Floquet's 4e-9 (BENCH_16.json).
 DENSE_BLOCK_MAX = 512
 # Predicted costs of exact propagation, in multiply-adds (module docstring).
 # A degree-13 Pade approximant takes six matrix products and one solve, and
@@ -96,7 +109,15 @@ DENSE_BLOCK_MAX = 512
 # of expm_multiply is worth, is fitted in log ratio to expm_multiply/expm
 # times of the 281- to 366-state preset and sweep blocks (2 vCPU, one BLAS
 # thread), on which the two methods are 0.4-13x apart; BENCH_15.json holds
-# the predicted and measured ratios of every preset and sweep block.
+# the predicted and measured ratios of every preset and sweep block.  The
+# rule reads the complex block and these constants were fitted on complex
+# times.  In real form dense expm got 3.2x faster (aqec L0 block, dt =
+# 0.25 us: 117 -> 37 ms) and expm_multiply 1.2x (its 1.5 us window: 82 ->
+# 67 ms), so a refit would send that window to dense expm.  Forced there,
+# the benchmark's stiff_arms workload ran 0.099-0.108 -> 0.069-0.075 s but
+# its peak RSS rose 13% (94.1 -> 106.4-106.6 MB, two runs each), so the
+# choice is held where it was: every block and stack takes the method it
+# took in complex form.
 EXPM_PADE_PRODUCTS = 7
 EXPM_THETA = 5.37
 MULTIPLY_COST = 4e5
@@ -108,6 +129,10 @@ STEP_RTOL = 1e-12
 # entry harmonics +-M may reach before the truncation counts as unsafe.
 FLOQUET_ORDERS = (4, 6, 8)
 FLOQUET_TAIL = 1e-10
+# The largest imaginary part T^H G T may keep, relative to G's largest entry,
+# before G counts as not preserving Hermiticity.  The generator's conjugate entries
+# are exact conjugates, so on every preset block and sweep stack it is 0.
+REAL_FORM_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -206,39 +231,127 @@ def _dense_cheaper(gen, steps, times):
     return dense < MULTIPLY_COST * (norm * (times[-1] - times[0]) + len(times))
 
 
-def _propagate_exact(gen, v0, times):
-    """Exact snapshots of dv/dt = gen v and the method used, dense ``"expm"``
-    or ``"expm_multiply"``, whichever is predicted to cost less.
+def _positions(keep, index):
+    """Positions of the vec(rho) indices ``index`` in the sorted ``keep``; a
+    ValueError when one is missing, that is, when ``keep`` is not closed
+    under the conjugation that maps ``keep`` onto ``index``."""
+    pos = np.minimum(np.searchsorted(keep, index), len(keep) - 1)
+    if np.any(keep[pos] != index):
+        raise ValueError("the block is not closed under conjugation")
+    return pos
 
-    A grid is uniform when every step equals the first to ``STEP_RTOL``; it
-    takes one propagator, otherwise every step takes its own.
+
+@dataclass(frozen=True)
+class _RealMap:
+    """v = T x between a block v of vec(rho), closed under conjugation, and
+    its real coordinates x (``_conjugation_map``): v_j = alpha_j x_lo_j +
+    i beta_j x_hi_j, so row j of the sparse unitary T holds alpha_j at
+    column lo_j and i beta_j at column hi_j."""
+
+    t: sp.csr_matrix
+    t_h: sp.csr_matrix  # T^H
+    lo: np.ndarray
+    hi: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
+
+    def form(self, op):
+        """The real sparse matrix T^H op T.  An imaginary part above
+        ``REAL_FORM_TOL`` times op's largest entry raises ValueError: op
+        then does not map Hermitian rho to Hermitian rho."""
+        out = (self.t_h @ op @ self.t).tocsr()
+        if np.max(np.abs(out.data.imag), initial=0.0) > REAL_FORM_TOL * np.max(
+                np.abs(op.data), initial=0.0):
+            raise ValueError("the generator does not preserve Hermiticity")
+        return sp.csr_matrix((out.data.real, out.indices, out.indptr), shape=out.shape)
+
+    def coords(self, v):
+        """The real coordinates T^H v of a block v closed under conjugation."""
+        return (self.t_h @ v).real
+
+    def block(self, xs):
+        """The complex block snapshots T x of the rows x of ``xs``, gathered
+        column by column (a complex sparse product is several times slower)."""
+        out = np.empty(xs.shape, dtype=complex)
+        np.multiply(xs[:, self.lo], self.alpha, out=out.real)
+        np.multiply(xs[:, self.hi], self.beta, out=out.imag)
+        return out
+
+
+def _conjugation_map(partner):
+    """The ``_RealMap`` of a block whose entry j holds the conjugate of entry
+    ``partner[j]``; for vec(rho), (i, j) pairs with (j, i).  A self-conjugate
+    entry keeps x_j = v_j.  A pair j < p = partner[j] holds x_j = sqrt2 Re v_j
+    and x_p = sqrt2 Im v_j, so rows j and p of T are (1, i) / sqrt2 and
+    (1, -i) / sqrt2 at columns (j, p).  Partners that are not an involution
+    raise ValueError."""
+    n = len(partner)
+    j = np.arange(n)
+    if (partner.shape != (n,) or np.any((partner < 0) | (partner >= n))
+            or np.any(partner[partner] != j)):
+        raise ValueError("conjugation partners must be an involution of the block")
+    s = math.sqrt(0.5)
+    pair = partner != j
+    lo, hi = np.minimum(j, partner), np.maximum(j, partner)
+    alpha = np.where(pair, s, 1.0)
+    beta = np.where(pair, np.where(j < partner, s, -s), 0.0)
+    # rows of T and of T^H both hold columns (lo_j, hi_j); a self-conjugate
+    # row holds one entry
+    slots = np.stack([np.ones(n, dtype=bool), pair], axis=1)
+    cols, indptr = np.stack([lo, hi], axis=1)[slots], np.concatenate([[0], np.cumsum(1 + pair)])
+    upper = j > partner  # row j of T^H is conj(column j of T)
+    t_h = np.stack([np.where(upper, -1j * beta[partner], alpha),
+                    np.where(upper, -1j * beta, alpha[partner])], axis=1)
+    t = np.stack([alpha, 1j * beta], axis=1)
+    return _RealMap(sp.csr_matrix((t[slots], cols, indptr), shape=(n, n)),
+                    sp.csr_matrix((t_h[slots], cols, indptr), shape=(n, n)),
+                    lo, hi, alpha, beta)
+
+
+def _propagate_exact(gen, v0, times, partner):
+    """Exact snapshots of dv/dt = gen v and the method used, dense ``"expm"``
+    or ``"expm_multiply"``, whichever is predicted to cost less on gen.
+
+    The block is closed under conjugation (``partner``, see
+    ``_conjugation_map``), so it is propagated in real coordinates, on
+    T^H gen T, and the snapshots are mapped back.  A grid is uniform when
+    every step equals the first to ``STEP_RTOL``; it takes one propagator,
+    otherwise every step takes its own.
     """
     steps = np.diff(times)
     uniform = np.all(np.abs(steps - steps[:1]) <= STEP_RTOL * steps[:1])
-    vecs = np.empty((len(times), len(v0)), dtype=complex)
-    vecs[0] = v0
-    if _dense_cheaper(gen, steps[:1] if uniform else steps, times):
+    dense_cheaper = _dense_cheaper(gen, steps[:1] if uniform else steps, times)
+    real = _conjugation_map(partner)
+    gen = real.form(gen)
+    xs = np.empty((len(times), len(v0)))
+    xs[0] = real.coords(v0)
+    if dense_cheaper:
         dense = gen.toarray()
         # one dense propagator alive at a time
         prop = expm(dense * steps[0]) if uniform and len(steps) else None
         for k, dt in enumerate(steps):
-            vecs[k + 1] = (prop if uniform else expm(dense * dt)) @ vecs[k]
-        return vecs, "expm"
-    if uniform and len(steps):
-        vecs[:] = expm_multiply(gen, v0, start=0.0, stop=times[-1] - times[0],
-                                num=len(times), endpoint=True)
+            xs[k + 1] = (prop if uniform else expm(dense * dt)) @ xs[k]
+        method = "expm"
     else:
-        for k, dt in enumerate(steps):
-            vecs[k + 1] = expm_multiply(gen * dt, vecs[k])
-    return vecs, "expm_multiply"
+        if uniform and len(steps):
+            xs[:] = expm_multiply(gen, xs[0], start=0.0, stop=times[-1] - times[0],
+                                  num=len(times), endpoint=True)
+        else:
+            for k, dt in enumerate(steps):
+                xs[k + 1] = expm_multiply(gen * dt, xs[k])
+        method = "expm_multiply"
+    return real.block(xs), method
 
 
-def _propagate_floquet(tones, gen, sups, v0, times):
+def _propagate_floquet(tones, gen, sups, v0, times, partner):
     """Exact snapshots of dv/dt = (gen + sum_k c_k(t) S_k) v for tones c_k
     that all share one nonzero |frequency|, by the truncated Shirley-Floquet
     generator (module docstring) at the first order M that passes, and the
-    meta.  The snapshots are None when no order passes or a pruned stack
-    exceeds ``DENSE_BLOCK_MAX``; the meta then says why (``evolve``)."""
+    meta.  ``partner`` pairs the block's conjugate entries
+    (``_conjugation_map``); on the stack, entry k of harmonic n pairs with
+    the partner of k in harmonic -n.  The snapshots are None when no order
+    passes or a pruned stack exceeds ``DENSE_BLOCK_MAX``; the meta then says
+    why (``evolve``)."""
     w = 2.0 * math.pi * abs(tones[0].freq)
     s_plus = sum(s for tone, s in zip(tones, sups) if tone.freq > 0)
     s_minus = sum(s for tone, s in zip(tones, sups) if tone.freq < 0)
@@ -257,8 +370,10 @@ def _propagate_floquet(tones, gen, sups, v0, times):
             # larger orders only grow the stack
             return None, {"floquet_order": m, "stack_dim": len(keep),
                           "floquet_rejected": "stack_dim"}
-        vecs, stack_method = _propagate_exact(stack[keep][:, keep], ext[keep], times)
         harmonic, entry = np.divmod(keep, nb)
+        vecs, stack_method = _propagate_exact(
+            stack[keep][:, keep], ext[keep], times,
+            _positions(keep, (2 * m - harmonic) * nb + partner[entry]))
         harmonic -= m
         tail = float(np.max(np.abs(vecs[:, np.abs(harmonic) == m]), initial=0.0))
         stack_meta = {"floquet_order": m, "floquet_tail": tail, "stack_method": stack_method}
@@ -274,25 +389,44 @@ def _propagate_floquet(tones, gen, sups, v0, times):
     return states, {"method": "floquet", "block_dim": len(keep), "nfev": 0, **stack_meta}
 
 
-def _integrate_rk45(tones, gen, sups, v0, times):
+def _integrate_rk45(tones, gen, sups, v0, times, partner):
     """Adaptive RK45 snapshots, not renormalized, of
-    dv/dt = (gen + sum_k c_k(t) S_k) v over the tones c_k."""
+    dv/dt = (gen + sum_k c_k(t) S_k) v over the tones c_k, integrated in the
+    real coordinates of ``partner`` (``_conjugation_map``).  There the terms
+    at +f and -f, with summed superoperators S+ and S-, are one real term
+    cos(2 pi f t) A + sin(2 pi f t) B with A = T^H (S+ + S-) T and
+    B = T^H i(S+ - S-) T, and terms at f = 0 join gen.  The real generator
+    and every A and B are stacked into one sparse matrix, so a stage takes
+    one product and one row of coefficients."""
+    from scipy.integrate import solve_ivp  # its one use: exact runs never import it
 
-    def rhs(t, v):
-        out = gen @ v
-        for tone, s in zip(tones, sups):
-            out += tone(t) * (s @ v)
-        return out
+    freqs = sorted({tone.freq for tone in tones if tone.freq > 0})
+    parts = [gen + sum(s for tone, s in zip(tones, sups) if tone.freq == 0)]
+    for f in freqs:
+        s_plus = sum(s for tone, s in zip(tones, sups) if tone.freq == f)
+        s_minus = sum(s for tone, s in zip(tones, sups) if tone.freq == -f)
+        parts += [s_plus + s_minus, 1j * (s_plus - s_minus)]
+    real = _conjugation_map(partner)
+    stacked = sp.vstack([real.form(part) for part in parts], format="csr")
+    pair_tones = [model.Tone(f) for f in freqs]
+
+    def rhs(t, x):
+        coeffs = [1.0]
+        for tone in pair_tones:
+            c = tone(t)
+            coeffs += [c.real, c.imag]
+        return np.asarray(coeffs) @ (stacked @ x).reshape(len(parts), -1)
 
     meta = {"method": "rk45", "block_dim": len(v0), "nfev": 0}
     if len(times) == 1:
         return v0[None, :], meta
-    sol = solve_ivp(rhs, (times[0], times[-1]), v0, t_eval=times, method="RK45",
-                    rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL, max_step=DEFAULT_MAX_STEP)
+    sol = solve_ivp(rhs, (times[0], times[-1]), real.coords(v0), t_eval=times,
+                    method="RK45", rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
+                    max_step=DEFAULT_MAX_STEP)
     if not sol.success:
         raise SolverError(f"integration failed near t={sol.t[-1] if len(sol.t) else times[0]:.4f} us: "
                           f"{sol.message}")
-    return sol.y.T, {**meta, "nfev": int(sol.nfev)}
+    return real.block(sol.y.T), {**meta, "nfev": int(sol.nfev)}
 
 
 def evolve(h, collapse, rho0, times, validate=True):
@@ -300,9 +434,10 @@ def evolve(h, collapse, rho0, times, validate=True):
 
     ``times`` is the finite, strictly increasing snapshot grid (us); the first
     entry is the initial time.  A non-finite entry of H, a collapse operator, a
-    tone or rho0, or unpaired driven terms (module docstring) raise ValueError.
-    The generator is restricted to the block of vec(rho) that rho0 touches and
-    propagated on the exact, Shirley-Floquet or RK45 path (module docstring).
+    tone or rho0, a non-Hermitian rho0 (beyond 1e-12) or unpaired driven terms
+    (module docstring) raise ValueError.  The generator is restricted to the
+    block of vec(rho) that rho0 touches and propagated, in real coordinates,
+    on the exact, Shirley-Floquet or RK45 path (module docstring).
     The Trajectory holds the block snapshots and their vec(rho) indices
     ``keep``; entries outside the block are exactly zero and never stored.
     Snapshots are renormalized on the block, by the trace of its diagonal
@@ -341,21 +476,25 @@ def evolve(h, collapse, rho0, times, validate=True):
     inputs = [gen.data, *(s.data for s in sups), [t.freq for t in tones], v0]
     if not all(np.all(np.isfinite(x)) for x in inputs):
         raise ValueError("H, the collapse operators, the tones and rho0 must be finite")
+    if np.max(np.abs(rho0.data - rho0.data.conj().T)) > 1e-12:
+        raise ValueError("rho0 must be Hermitian")
     parts = {f: sum(op.data for t, op in h.driven if t.freq == f) for f in {t.freq for t in tones}}
     for f, op in parts.items():
         if not np.allclose(op, np.conj(parts.get(-f, 0.0)).T, rtol=0.0, atol=1e-12):
             raise ValueError(f"driven terms at {-f:g} MHz are not the adjoint of those at {f:g}")
     keep = _touched_block(sum((abs(s) for s in sups), abs(gen)), v0)
     gen, sups, v0 = gen[keep][:, keep], [s[keep][:, keep] for s in sups], v0[keep]
+    row, col = np.divmod(keep, rho0.dim)
+    partner = _positions(keep, col * rho0.dim + row)
     freqs = {abs(tone.freq) for tone in tones}
     vecs, meta = None, {}
     if not freqs:
-        vecs, method = _propagate_exact(gen, v0, times)
+        vecs, method = _propagate_exact(gen, v0, times, partner)
         meta = {"method": method, "block_dim": len(keep), "nfev": 0}
     elif len(freqs) == 1 and 0.0 not in freqs:
-        vecs, meta = _propagate_floquet(tones, gen, sups, v0, times)
+        vecs, meta = _propagate_floquet(tones, gen, sups, v0, times, partner)
     if vecs is None:
-        vecs, rk45_meta = _integrate_rk45(tones, gen, sups, v0, times)
+        vecs, rk45_meta = _integrate_rk45(tones, gen, sups, v0, times, partner)
         meta = {**rk45_meta, **meta}
     # the diagonal entries summed one at a time in index order: the bits of
     # einsum("tii->t") on the full stack
@@ -377,8 +516,8 @@ def evolve(h, collapse, rho0, times, validate=True):
 def observable_series(traj, ops):
     """Real expectation values, shape (n_times, n_ops).
 
-    Warns when any imaginary part exceeds 1e-7 (non-Hermitian observable or
-    integration trouble).
+    Warns when any imaginary part exceeds 1e-7: ``evolve``'s snapshots are
+    Hermitian by construction, so only a non-Hermitian observable gives one.
     """
     for op in ops:
         if op.dims != traj.dims:

@@ -128,7 +128,9 @@ class ConfusionMatrix:
 
     @staticmethod
     def load(path):
-        m = np.loadtxt(path)
+        with warnings.catch_warnings():  # an empty file: the 9x9 check says so
+            warnings.filterwarnings("ignore", "loadtxt", UserWarning)
+            m = np.loadtxt(path)
         return ConfusionMatrix(m)
 
     def save(self, path):

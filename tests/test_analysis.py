@@ -135,6 +135,18 @@ def test_fit_exponential_exact_recovery():
     assert fit.c == pytest.approx(0.05, abs=1e-8)
 
 
+def test_fit_exponential_recovers_a_noiseless_decay_to_rounding():
+    """With C = 0 the fit lands on C ~ 1e-17; the analytic Jacobian keeps
+    the covariance finite there and the fit converges to tau itself, not to
+    where the cost stops falling by ftol (about 1e-9 relative)."""
+    t = np.linspace(0.0, 27.0, 1081)
+    for tau in (3.0, 3.07841517084, 10.0):
+        fit = analysis.fit_exponential(t, np.exp(-t / tau))
+        assert fit.tau == pytest.approx(tau, rel=1e-12)
+        assert abs(fit.c) <= 1e-14
+        assert np.isfinite(fit.sigma_tau) and fit.sigma_tau <= 1e-12
+
+
 def test_fit_skip_window_excludes_early_samples():
     t = np.linspace(0.0, 30.0, 61)
     y = 0.8 * np.exp(-t / 10.0) + 0.05

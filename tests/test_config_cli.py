@@ -274,7 +274,7 @@ def test_run_scenario_fit_without_overflow_warning(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         summary = cli.run_scenario(_write(tmp_path, text), tmp_path / "out")
-    assert cli._read_summary(summary)["fit_tau_us"] == "3.07841517084"
+    assert cli._read_summary(summary)["fit_tau_us"] == "3.07841517093"
 
 
 def test_run_scenario_baseline_improvement(tmp_path):
@@ -377,6 +377,21 @@ def test_main_tomo_rejects_short_tomograms(tmp_path, capsys):
         assert cli.main(["tomo", str(tomo_path)]) == 1
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "ValueError" and "81x9" in err["message"]
+
+
+def test_main_tomo_rejects_an_empty_confusion_file(tmp_path, capsys):
+    """An empty confusion file exits 1, and stderr holds only the JSON
+    record: numpy's no-data warning does not leak ahead of it."""
+    tomo = tomography.simulate_counts(model.logical_qutrit_state("L0").to_density(),
+                                      tomography.rotation_set(),
+                                      tomography.ConfusionMatrix.identity(),
+                                      shots=100, seed=1)
+    tomo_path = tmp_path / "tomo.tsv"
+    tomo.save(tomo_path)
+    confusion_path = _write(tmp_path, "", "confusion.tsv")
+    assert cli.main(["tomo", str(tomo_path), str(confusion_path)]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "9x9" in err["message"]
 
 
 def test_main_error_exit_codes(tmp_path, capsys):

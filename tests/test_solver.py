@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 from scipy.optimize import curve_fit
 from scipy.sparse.linalg import expm_multiply
 
@@ -134,6 +135,13 @@ def _reduced(h, collapse, v0):
             [s[keep][:, keep] for s in sups])
 
 
+def _partner(keep, d=36):
+    """Position in ``keep`` of the conjugate of each entry of vec(rho): (i, j)
+    pairs with (j, i)."""
+    row, col = np.divmod(keep, d)
+    return solver._positions(keep, col * d + row)
+
+
 def _scatter(keep, vecs, size):
     """Block snapshots written back into zero vectors of length ``size``."""
     out = np.zeros((len(vecs), size), dtype=complex)
@@ -162,7 +170,7 @@ def test_exact_propagation_matches_rk45(arm, tmax, snapshots):
         assert traj.meta["nfev"] == 0
         v0 = rho0.data.astype(complex).ravel()
         keep, tones, gen, sups = _reduced(h, collapse, v0)
-        vecs, meta = solver._integrate_rk45(tones, gen, sups, v0[keep], times)
+        vecs, meta = solver._integrate_rk45(tones, gen, sups, v0[keep], times, _partner(keep))
         assert meta["method"] == "rk45" and meta["nfev"] > 0
         assert meta["block_dim"] == block
         states = traj.full_states()
@@ -401,8 +409,10 @@ def _full_stack_floquet(h, collapse, v0, times, m):
     ext = np.zeros((2 * m + 1) * d2, dtype=complex)
     ext[m * d2:(m + 1) * d2] = v0
     keep = solver._touched_block(gen, ext)
-    vecs, _ = solver._propagate_exact(gen[keep][:, keep], ext[keep], times)
     harmonic, entry = np.divmod(keep, d2)
+    row, col = np.divmod(entry, 36)
+    partner = solver._positions(keep, (2 * m - harmonic) * d2 + col * 36 + row)
+    vecs, _ = solver._propagate_exact(gen[keep][:, keep], ext[keep], times, partner)
     harmonic -= m
     tail = float(np.max(np.abs(vecs[:, np.abs(harmonic) == m]), initial=0.0))
     states = np.zeros((len(times), d2), dtype=complex)
@@ -442,7 +452,8 @@ def test_floquet_base_block_matches_full_stack():
         h, collapse, psi0, times = _benchmark_sweep_case(axis, freq)
         v0 = psi0.to_density().data.ravel()
         keep, tones, gen, sups = _reduced(h, collapse, v0)
-        vecs, meta = solver._propagate_floquet(tones, gen, sups, v0[keep], times)
+        vecs, meta = solver._propagate_floquet(tones, gen, sups, v0[keep], times,
+                                               _partner(keep))
         states = _scatter(keep, vecs, len(v0))
         ref_block, ref_states, ref_tail = _full_stack_floquet(h, collapse, v0, times,
                                                               meta["floquet_order"])
@@ -670,7 +681,7 @@ def test_floquet_order_is_smallest_that_passes(axis, freq, order):
     assert solver.FLOQUET_ORDERS == (4, 6, 8)
     v0 = psi0.to_density().data.ravel()
     keep, tones, gen, sups = _reduced(h, collapse, v0)
-    _, meta = solver._propagate_floquet(tones, gen, sups, v0[keep], times)
+    _, meta = solver._propagate_floquet(tones, gen, sups, v0[keep], times, _partner(keep))
     assert meta["method"] == "floquet" and meta["floquet_order"] == order
     assert meta["floquet_tail"] <= solver.FLOQUET_TAIL
     if order > solver.FLOQUET_ORDERS[0]:
@@ -687,9 +698,9 @@ def test_floquet_stack_above_dense_cap_goes_to_rk45(monkeypatch):
     propagated = []
     exact = solver._propagate_exact
 
-    def counting(gen, v0, times):
+    def counting(gen, v0, times, partner):
         propagated.append(gen.shape[0])
-        return exact(gen, v0, times)
+        return exact(gen, v0, times, partner)
 
     monkeypatch.setattr(solver, "_propagate_exact", counting)
     cfg, _, collapse = _preset("aqec")
@@ -708,6 +719,119 @@ def test_floquet_stack_above_dense_cap_goes_to_rk45(monkeypatch):
     assert "floquet_tail" not in trajs[0].meta
     assert "floquet_order" not in trajs[1].meta
     assert np.max(np.abs(trajs[0].full_states() - trajs[1].full_states())) <= 1e-10
+
+
+def test_conjugation_map_is_unitary_and_real_on_hermitian_blocks():
+    """T is unitary and T^H its adjoint, T^H v is real for a v closed under
+    conjugation (the entries of a random Hermitian matrix on the aqec L0
+    block), and T and the gathered map back both return v from those real
+    coordinates."""
+    _, h, collapse = _preset("aqec")
+    v0 = model.logical_state("L0").to_density().data.astype(complex).ravel()
+    keep, *_ = _reduced(h, collapse, v0)
+    real = solver._conjugation_map(_partner(keep))
+    t = real.t.toarray()
+    assert np.array_equal(real.t_h.toarray(), t.conj().T)
+    eye = np.eye(len(keep))
+    assert np.max(np.abs(t.conj().T @ t - eye)) <= 1e-15
+    assert np.max(np.abs(t @ t.conj().T - eye)) <= 1e-15
+    v = _random_density(np.random.default_rng(5), 36).ravel()[keep]
+    x = real.t_h @ v
+    assert not np.any(x.imag)
+    assert np.array_equal(real.coords(v), x.real)
+    assert np.max(np.abs(t @ x.real - v)) <= 1e-15
+    assert np.array_equal(real.block(x.real[None, :])[0], real.t @ x.real)
+
+
+def test_real_form_rejects_unclosed_blocks_and_non_hermitian_maps(monkeypatch):
+    """Partners that are not an involution of the block, a Floquet stack
+    with one partner index removed, a generator without a real form and a
+    non-Hermitian rho0 are ValueErrors, raised before anything is
+    propagated."""
+    for partner in ([1, 2, 0], [0, 2], [1, 1]):
+        with pytest.raises(ValueError, match="involution"):
+            solver._conjugation_map(np.array(partner))
+    _, h_free, collapse_free = _preset("free_decay")
+    v0 = model.logical_state("L0").to_density().data.astype(complex).ravel()
+    keep, _, gen, _ = _reduced(h_free, collapse_free, v0)
+    with pytest.raises(ValueError, match="Hermiticity"):
+        solver._conjugation_map(_partner(keep)).form(1j * gen)
+    h, collapse, psi0, times = _benchmark_sweep_case("qr_frequency", 0.5)
+    v0 = psi0.to_density().data.ravel()
+    keep, tones, gen, sups = _reduced(h, collapse, v0)
+    touched = solver._touched_block
+    # the 4-state stack's last index is sigma_+1's |yx>, partner of sigma_-1's |xy>
+    monkeypatch.setattr(solver, "_touched_block", lambda g, v: touched(g, v)[:-1])
+    monkeypatch.setattr(solver, "_propagate_exact", lambda *args: pytest.fail("propagated"))
+    with pytest.raises(ValueError, match="closed under conjugation"):
+        solver._propagate_floquet(tones, gen, sups, v0[keep], times, _partner(keep))
+    monkeypatch.undo()
+    rho = psi0.to_density().data.copy()
+    rho[0, 1] = 0.1
+    with pytest.raises(ValueError, match="Hermitian"):
+        solver.evolve(h, collapse, DensityMatrix(FULL_DIMS, rho), times)
+
+
+def test_real_form_of_preset_blocks_and_floquet_stacks(monkeypatch):
+    """T^H G T keeps an imaginary part of at most 1e-12 of G's largest entry
+    on the nine preset blocks and on the Floquet stacks of the
+    red_pair_center +0.2 MHz offset (M = 4, rejected, and M = 6) and the
+    qr_frequency +0.5 MHz offset (M = 4)."""
+    ratios = []
+    form = solver._RealMap.form
+
+    def recording(self, op):
+        mapped = (self.t_h @ op @ self.t).toarray()
+        ratios.append(np.max(np.abs(mapped.imag)) / np.max(np.abs(op.data)))
+        return form(self, op)
+
+    monkeypatch.setattr(solver._RealMap, "form", recording)
+    for arm in ("free_decay", "echo_4qq", "aqec"):
+        cfg, h, collapse = _preset(arm)
+        times = np.linspace(0.0, cfg.scenario.tmax_us, cfg.scenario.snapshots)
+        for initial in LOGICAL:
+            traj = solver.evolve(h, collapse, model.logical_state(initial).to_density(),
+                                 times, validate=False)
+            assert traj.meta["block_dim"] == PRESET_BLOCKS[arm][initial]
+    nu_r = config.load_preset("echo_4qq").drive.nu_r
+    for axis, freq in (("red_pair_center", nu_r + 0.2), ("qr_frequency", 0.5)):
+        h, collapse, psi0, times = _benchmark_sweep_case(axis, freq)
+        traj = solver.evolve(h, collapse, psi0.to_density(), times, validate=False)
+        assert traj.meta["method"] == "floquet"
+    assert len(ratios) == 9 + 3
+    assert max(ratios) <= 1e-12
+
+
+def _complex_expm(gen, v0, times, partner):
+    """Snapshots of dv/dt = gen v on a uniform grid by one complex dense
+    propagator, with no real form: the reference for the real path."""
+    prop = expm(gen.toarray() * (times[1] - times[0]))
+    vecs = [v0.astype(complex)]
+    for _ in times[1:]:
+        vecs.append(prop @ vecs[-1])
+    return np.array(vecs), "expm"
+
+
+@pytest.mark.parametrize("case", ["aqec", "red_floquet"])
+def test_real_path_matches_complex_expm(monkeypatch, case):
+    """The real-coordinate snapshots equal those of a complex dense expm of
+    the same block to 1e-12: aqec L0 over 27 us (109 snapshots, one dense
+    propagator) and the lossy red_pair_center Floquet stack at
+    nu_r + 0.5 MHz."""
+    if case == "aqec":
+        _, h, collapse = _preset("aqec")
+        rho0 = model.logical_state("L0").to_density()
+        times, key = np.linspace(0.0, 27.0, 109), "method"
+    else:
+        nu_r = config.load_preset("echo_4qq").drive.nu_r
+        h, collapse, psi0, times = _benchmark_sweep_case("red_pair_center", nu_r + 0.5)
+        rho0, key = psi0.to_density(), "stack_method"
+    real = solver.evolve(h, collapse, rho0, times, validate=False)
+    monkeypatch.setattr(solver, "_propagate_exact", _complex_expm)
+    ref = solver.evolve(h, collapse, rho0, times, validate=False)
+    assert real.meta[key] == "expm"
+    assert np.array_equal(real.keep, ref.keep)
+    assert np.max(np.abs(real.states - ref.states)) <= 1e-12
 
 
 def test_tone_is_a_complex_exponential():
