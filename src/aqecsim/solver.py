@@ -6,14 +6,16 @@ part, vec(A rho B) = (A kron B^T) vec(rho):
     L0 = J kron 1 + 1 kron J* + sum_k L_k kron L_k*,   J = -iH - (1/2) sum_k L_k^dag L_k,
 
 assembled in one pass from the nonzero entries of every Kronecker factor,
-and one superoperator S_k of -i[O_k, .] per driven term c_k(t) O_k.
-``evolve`` restricts L0 and every S_k once to the block of vec(rho) that
-rho0 touches, the weakly connected components of the joint sparsity graph
-of L0 and the S_k that hold a nonzero entry of rho0, and hands that block to
-one of three propagators.  Their block snapshots are the trajectory itself:
-every other entry of vec(rho) stays exactly zero and is never stored, and
-the trace check, the renormalization, ``validate_state``, the two-qutrit
-reduction (``operators.trace_out``) and ``observable_series`` all read it.
+and one superoperator S_f of -i[O_f, .] per nonzero drive frequency f, O_f
+the sum of the driven operators at f (those at f = 0 join H's constant
+part).  ``_block`` restricts L0 and every S_f once to the block of vec(rho)
+that rho0 touches, the weakly connected components of the joint sparsity
+graph of L0 and the S_f that hold a nonzero entry of rho0, and ``evolve``
+hands that block to one of three propagators.  Their block snapshots are
+the trajectory itself: every other entry of vec(rho) stays exactly zero and
+is never stored, and the trace check, the renormalization,
+``validate_state``, the two-qutrit reduction (``operators.trace_out``) and
+``observable_series`` all read it.
 
 Every propagator runs in real arithmetic.  The generator maps Hermitian rho
 to Hermitian rho, so in the coordinates diag, sqrt2 Re and sqrt2 Im of rho
@@ -38,17 +40,17 @@ so it costs about ``MULTIPLY_COST`` (||L0||_1 (t_end - t0) + snapshots).
 Ties go to ``expm_multiply``, and blocks above ``DENSE_BLOCK_MAX`` states
 always take it, for the dense temporaries' memory.
 
-Each c_k(t) is e^{2 pi i f_k t}, in adjoint pairs (f, O), (-f, O^dag) that
-``evolve`` checks.  An H whose terms all share one |f_k| = w / 2pi (a single
-drive, or the static frame with one nonzero pair frequency) is propagated
-exactly too, by a truncated Shirley-Floquet expansion (Shirley, Phys. Rev.
-138, B979 (1965); Grifoni & Hanggi, Phys. Rep. 304, 229 (1998)).  With
-H(t) = H0 + H+ e^{iwt} + H- e^{-iwt} and rho(t) = sum_n e^{inwt} sigma_n(t),
+Every driven term is e^{2 pi i f t} O, and the operators at -f must sum to
+the adjoint of those at f, O_-f = O_f^dag (``_block`` checks it).  An H whose
+drives all share one nonzero |f| = w / 2pi (a single drive, or the static
+frame with one nonzero pair frequency) is propagated exactly too, by a
+truncated Shirley-Floquet expansion (Shirley, Phys. Rev. 138, B979 (1965);
+Grifoni & Hanggi, Phys. Rep. 304, 229 (1998)).  With
+H(t) = H0 + O_f e^{iwt} + O_-f e^{-iwt} and rho(t) = sum_n e^{inwt} sigma_n(t),
 
-    sigma_n' = (L0 - inw) sigma_n + L+ sigma_{n-1} + L- sigma_{n+1},
+    sigma_n' = (L0 - inw) sigma_n + S_f sigma_{n-1} + S_-f sigma_{n+1},
 
-with sigma_n(t0) = delta_n0 rho0 and L+ (L-) the sum of the S_k of the terms
-at f_k > 0 (f_k < 0).  Cut at |n| <= M
+with sigma_n(t0) = delta_n0 rho0.  Cut at |n| <= M
 this is one time-independent generator on 2M+1 copies of the block, whose
 components are finer than the block's, so it is pruned once more to those
 rho0 touches and propagated on the exact path.  Since sigma_-n =
@@ -64,9 +66,9 @@ H with driven terms at several frequencies (the lab frame with several
 carriers, the static frame with two nonzero pair frequencies), or with one
 frequency whose Floquet stack failed or grew too large, is integrated with
 adaptive embedded Runge-Kutta 4(5) (scipy ``solve_ivp``):
-dv/dt = (L0 + sum_k c_k(t) S_k) v on the block, evaluating every c_k at every
-internal stage.  In real coordinates each pair (f, O), (-f, O^dag) is one
-term cos(2 pi f t) A + sin(2 pi f t) B (``_integrate_rk45``).
+dv/dt = (L0 + sum_f e^{2 pi i f t} S_f) v on the block, evaluating every
+coefficient at every internal stage.  In real coordinates each pair S_f,
+S_-f is one term cos(2 pi f t) A + sin(2 pi f t) B (``_integrate_rk45``).
 """
 
 from __future__ import annotations
@@ -218,6 +220,46 @@ def _touched_block(gen, v0):
     return np.flatnonzero(np.isin(label, label[v0 != 0]))
 
 
+@dataclass(frozen=True)
+class _Block:
+    """The block of vec(rho) that rho0 touches (``_block``): its sorted
+    vec(rho) indices ``keep``, the position ``partner`` of each entry's
+    conjugate, rho0 ``v0`` on it, the generator ``gen`` restricted to it and
+    ``drives``, each nonzero drive frequency f mapped to its restricted S_f."""
+
+    keep: np.ndarray
+    partner: np.ndarray
+    v0: np.ndarray
+    gen: sp.csr_matrix
+    drives: dict
+
+
+def _block(h, collapse, rho0):
+    """The ``_Block`` of one ``evolve`` call, whose checks (``evolve``) all
+    read the raw inputs before anything is assembled."""
+    if any(x.dims != h.dims for x in (rho0, *collapse)):
+        raise ValueError(f"rho0 and the collapse operators must have H's dims {h.dims}")
+    v0 = rho0.data.astype(complex).ravel()
+    inputs = [h.constant.data, *(c.data for c in collapse), *(op.data for _, op in h.driven),
+              [tone.freq for tone, _ in h.driven], v0]
+    if not all(np.all(np.isfinite(x)) for x in inputs):
+        raise ValueError("H, the collapse operators, the tones and rho0 must be finite")
+    if np.max(np.abs(rho0.data - rho0.data.conj().T)) > 1e-12:
+        raise ValueError("rho0 must be Hermitian")
+    parts = {f: sum(op.data for t, op in h.driven if t.freq == f)
+             for f in {tone.freq for tone, _ in h.driven}}
+    for f, op in parts.items():
+        if -f not in parts or not np.allclose(op, parts[-f].conj().T, rtol=0.0, atol=1e-12):
+            raise ValueError(f"driven terms at {-f:g} MHz are not the adjoint of those at {f:g}")
+    gen = _lindblad_generator(sum((op.data for t, op in h.driven if t.freq == 0),
+                                  h.constant.data), collapse)
+    drives = {f: _commutator(op) for f, op in parts.items() if f != 0}
+    keep = _touched_block(sum((abs(s) for s in drives.values()), abs(gen)), v0)
+    row, col = np.divmod(keep, rho0.dim)
+    return _Block(keep, _positions(keep, col * rho0.dim + row), v0[keep], gen[keep][:, keep],
+                  {f: s[keep][:, keep] for f, s in drives.items()})
+
+
 def _dense_cheaper(gen, steps, times):
     """Whether dense expm of ``gen`` over the distinct ``steps`` is predicted
     to cost less than expm_multiply over ``times`` (module docstring)."""
@@ -343,27 +385,26 @@ def _propagate_exact(gen, v0, times, partner):
     return real.block(xs), method
 
 
-def _propagate_floquet(tones, gen, sups, v0, times, partner):
-    """Exact snapshots of dv/dt = (gen + sum_k c_k(t) S_k) v for tones c_k
-    that all share one nonzero |frequency|, by the truncated Shirley-Floquet
-    generator (module docstring) at the first order M that passes, and the
-    meta.  ``partner`` pairs the block's conjugate entries
-    (``_conjugation_map``); on the stack, entry k of harmonic n pairs with
-    the partner of k in harmonic -n.  The snapshots are None when no order
-    passes or a pruned stack exceeds ``DENSE_BLOCK_MAX``; the meta then says
-    why (``evolve``)."""
-    w = 2.0 * math.pi * abs(tones[0].freq)
-    s_plus = sum(s for tone, s in zip(tones, sups) if tone.freq > 0)
-    s_minus = sum(s for tone, s in zip(tones, sups) if tone.freq < 0)
-    nb = len(v0)
+def _propagate_floquet(block, times):
+    """Exact snapshots of dv/dt = (gen + e^{iwt} S_f + e^{-iwt} S_-f) v on a
+    block driven at the one frequency f = w / 2pi > 0, by the truncated
+    Shirley-Floquet generator (module docstring) at the first order M that
+    passes, and the meta.  On the stack, entry k of harmonic n pairs with
+    the block partner of k in harmonic -n (``_conjugation_map``).  The
+    snapshots are None when no order passes or a pruned stack exceeds
+    ``DENSE_BLOCK_MAX``; the meta then says why (``evolve``)."""
+    f = max(block.drives)
+    w = 2.0 * math.pi * f
+    s_plus, s_minus = block.drives[f], block.drives[-f]
+    nb = len(block.v0)
     for m in FLOQUET_ORDERS:
-        stack = (sp.kron(sp.identity(2 * m + 1), gen)
+        stack = (sp.kron(sp.identity(2 * m + 1), block.gen)
                  + sp.kron(sp.diags(-1j * w * np.arange(-m, m + 1)), sp.identity(nb))
                  + sp.kron(sp.eye(2 * m + 1, k=-1), s_plus)
                  + sp.kron(sp.eye(2 * m + 1, k=1), s_minus)).tocsr()
         stack.eliminate_zeros()
         ext = np.zeros((2 * m + 1) * nb, dtype=complex)
-        ext[m * nb:(m + 1) * nb] = v0
+        ext[m * nb:(m + 1) * nb] = block.v0
         # the stack's components are finer than the block's: prune them too
         keep = _touched_block(stack, ext)
         if len(keep) > DENSE_BLOCK_MAX:
@@ -373,7 +414,7 @@ def _propagate_floquet(tones, gen, sups, v0, times, partner):
         harmonic, entry = np.divmod(keep, nb)
         vecs, stack_method = _propagate_exact(
             stack[keep][:, keep], ext[keep], times,
-            _positions(keep, (2 * m - harmonic) * nb + partner[entry]))
+            _positions(keep, (2 * m - harmonic) * nb + block.partner[entry]))
         harmonic -= m
         tail = float(np.max(np.abs(vecs[:, np.abs(harmonic) == m]), initial=0.0))
         stack_meta = {"floquet_order": m, "floquet_tail": tail, "stack_method": stack_method}
@@ -389,24 +430,22 @@ def _propagate_floquet(tones, gen, sups, v0, times, partner):
     return states, {"method": "floquet", "block_dim": len(keep), "nfev": 0, **stack_meta}
 
 
-def _integrate_rk45(tones, gen, sups, v0, times, partner):
+def _integrate_rk45(block, times):
     """Adaptive RK45 snapshots, not renormalized, of
-    dv/dt = (gen + sum_k c_k(t) S_k) v over the tones c_k, integrated in the
-    real coordinates of ``partner`` (``_conjugation_map``).  There the terms
-    at +f and -f, with summed superoperators S+ and S-, are one real term
-    cos(2 pi f t) A + sin(2 pi f t) B with A = T^H (S+ + S-) T and
-    B = T^H i(S+ - S-) T, and terms at f = 0 join gen.  The real generator
+    dv/dt = (gen + sum_f e^{2 pi i f t} S_f) v on a block, integrated in its
+    real coordinates (``_conjugation_map``).  There the drives at +f and -f
+    are one real term cos(2 pi f t) A + sin(2 pi f t) B with
+    A = T^H (S_f + S_-f) T and B = T^H i(S_f - S_-f) T.  The real generator
     and every A and B are stacked into one sparse matrix, so a stage takes
     one product and one row of coefficients."""
     from scipy.integrate import solve_ivp  # its one use: exact runs never import it
 
-    freqs = sorted({tone.freq for tone in tones if tone.freq > 0})
-    parts = [gen + sum(s for tone, s in zip(tones, sups) if tone.freq == 0)]
+    freqs = sorted(f for f in block.drives if f > 0)
+    parts = [block.gen]
     for f in freqs:
-        s_plus = sum(s for tone, s in zip(tones, sups) if tone.freq == f)
-        s_minus = sum(s for tone, s in zip(tones, sups) if tone.freq == -f)
+        s_plus, s_minus = block.drives[f], block.drives[-f]
         parts += [s_plus + s_minus, 1j * (s_plus - s_minus)]
-    real = _conjugation_map(partner)
+    real = _conjugation_map(block.partner)
     stacked = sp.vstack([real.form(part) for part in parts], format="csr")
     pair_tones = [model.Tone(f) for f in freqs]
 
@@ -417,10 +456,10 @@ def _integrate_rk45(tones, gen, sups, v0, times, partner):
             coeffs += [c.real, c.imag]
         return np.asarray(coeffs) @ (stacked @ x).reshape(len(parts), -1)
 
-    meta = {"method": "rk45", "block_dim": len(v0), "nfev": 0}
+    meta = {"method": "rk45", "block_dim": len(block.v0), "nfev": 0}
     if len(times) == 1:
-        return v0[None, :], meta
-    sol = solve_ivp(rhs, (times[0], times[-1]), real.coords(v0), t_eval=times,
+        return block.v0[None, :], meta
+    sol = solve_ivp(rhs, (times[0], times[-1]), real.coords(block.v0), t_eval=times,
                     method="RK45", rtol=DEFAULT_RTOL, atol=DEFAULT_ATOL,
                     max_step=DEFAULT_MAX_STEP)
     if not sol.success:
@@ -434,10 +473,12 @@ def evolve(h, collapse, rho0, times, validate=True):
 
     ``times`` is the finite, strictly increasing snapshot grid (us); the first
     entry is the initial time.  A non-finite entry of H, a collapse operator, a
-    tone or rho0, a non-Hermitian rho0 (beyond 1e-12) or unpaired driven terms
-    (module docstring) raise ValueError.  The generator is restricted to the
-    block of vec(rho) that rho0 touches and propagated, in real coordinates,
-    on the exact, Shirley-Floquet or RK45 path (module docstring).
+    tone or rho0, a non-Hermitian rho0 (beyond 1e-12) or driven terms at -f
+    that do not sum to the adjoint of those at f raise ValueError before
+    anything is assembled.  The block of vec(rho) that rho0 touches
+    (``_block``) is propagated in real coordinates: exactly with no nonzero
+    drive frequency, by Shirley-Floquet with one |f|, by RK45 otherwise or
+    when Floquet is rejected (module docstring).
     The Trajectory holds the block snapshots and their vec(rho) indices
     ``keep``; entries outside the block are exactly zero and never stored.
     Snapshots are renormalized on the block, by the trace of its diagonal
@@ -463,48 +504,27 @@ def evolve(h, collapse, rho0, times, validate=True):
     if (times.ndim != 1 or len(times) < 1 or not np.all(np.isfinite(times))
             or np.any(np.diff(times) <= 0)):
         raise ValueError("times must be a finite, strictly increasing 1-D grid")
-    if rho0.dims != h.dims:
-        raise ValueError(f"state dims {rho0.dims} do not match H dims {h.dims}")
-    for c in collapse:
-        if c.dims != h.dims:
-            raise ValueError("collapse operator dims do not match H dims")
 
-    v0 = rho0.data.astype(complex).ravel()
-    gen = _lindblad_generator(h.constant.data, collapse)
-    tones = [tone for tone, _ in h.driven]
-    sups = [_commutator(op.data) for _, op in h.driven]
-    inputs = [gen.data, *(s.data for s in sups), [t.freq for t in tones], v0]
-    if not all(np.all(np.isfinite(x)) for x in inputs):
-        raise ValueError("H, the collapse operators, the tones and rho0 must be finite")
-    if np.max(np.abs(rho0.data - rho0.data.conj().T)) > 1e-12:
-        raise ValueError("rho0 must be Hermitian")
-    parts = {f: sum(op.data for t, op in h.driven if t.freq == f) for f in {t.freq for t in tones}}
-    for f, op in parts.items():
-        if not np.allclose(op, np.conj(parts.get(-f, 0.0)).T, rtol=0.0, atol=1e-12):
-            raise ValueError(f"driven terms at {-f:g} MHz are not the adjoint of those at {f:g}")
-    keep = _touched_block(sum((abs(s) for s in sups), abs(gen)), v0)
-    gen, sups, v0 = gen[keep][:, keep], [s[keep][:, keep] for s in sups], v0[keep]
-    row, col = np.divmod(keep, rho0.dim)
-    partner = _positions(keep, col * rho0.dim + row)
-    freqs = {abs(tone.freq) for tone in tones}
+    block = _block(h, collapse, rho0)
+    freqs = {abs(f) for f in block.drives}
     vecs, meta = None, {}
     if not freqs:
-        vecs, method = _propagate_exact(gen, v0, times, partner)
-        meta = {"method": method, "block_dim": len(keep), "nfev": 0}
-    elif len(freqs) == 1 and 0.0 not in freqs:
-        vecs, meta = _propagate_floquet(tones, gen, sups, v0, times, partner)
+        vecs, method = _propagate_exact(block.gen, block.v0, times, block.partner)
+        meta = {"method": method, "block_dim": len(block.keep), "nfev": 0}
+    elif len(freqs) == 1:
+        vecs, meta = _propagate_floquet(block, times)
     if vecs is None:
-        vecs, rk45_meta = _integrate_rk45(tones, gen, sups, v0, times, partner)
+        vecs, rk45_meta = _integrate_rk45(block, times)
         meta = {**rk45_meta, **meta}
     # the diagonal entries summed one at a time in index order: the bits of
     # einsum("tii->t") on the full stack
-    diagonal = np.flatnonzero(keep % (rho0.dim + 1) == 0)
+    diagonal = np.flatnonzero(block.keep % (rho0.dim + 1) == 0)
     traces = sum(vecs[:, j] for j in diagonal).real
     max_drift = float(np.max(np.abs(traces - 1.0)))
     if max_drift >= TRACE_DRIFT_LIMIT:
         raise SolverError(f"trace drift {max_drift:.2e} exceeds {TRACE_DRIFT_LIMIT:g}")
 
-    traj = Trajectory(times, vecs / traces[:, None], rho0.dims, keep,
+    traj = Trajectory(times, vecs / traces[:, None], rho0.dims, block.keep,
                       meta={**meta, "max_trace_drift": max_drift})
     if validate:
         report = validate_state(traj, tol=1e-6)

@@ -11,6 +11,9 @@ The record, under ``tests/data/reference/``, holds
   chevron sweeps shaped like the benchmark's, at fixed (unjittered) inputs:
   the lossless ``qr_frequency`` chevron (9 offsets, 241 snapshots) and the
   lossy ``red_pair_center`` sweep (5 offsets, 121 snapshots);
+* ``paths.json``: the path each of those runs' ``solver.evolve`` calls
+  took, one entry per call in call order (nine presets, then 14 sweep
+  offsets), with the meta keys of ``PATH_KEYS`` that the call records;
 * ``provenance.json``: the commit, numpy, scipy and BLAS it came from.
 
 ``test_reference_record.py`` reruns the same calls and compares.  Rewrite
@@ -29,11 +32,15 @@ import numpy as np
 import scipy
 import yaml
 
-from aqecsim import cli, config, model
+from aqecsim import cli, config, model, solver
 
 RECORD = Path(__file__).resolve().parent / "data" / "reference"
 PRESETS = ("free_decay", "echo_4qq", "aqec")
 PROVENANCE = "provenance.json"
+PATHS = "paths.json"
+# the meta of a run's path: everything but the float diagnostics
+PATH_KEYS = ("method", "block_dim", "nfev", "floquet_order", "stack_method",
+             "floquet_rejected", "stack_dim")
 
 
 def _sweep_docs():
@@ -50,15 +57,28 @@ def _sweep_docs():
 
 
 def write_outputs(outdir):
-    """Run every recorded call, writing its files under ``outdir``."""
+    """Run every recorded call, writing its files under ``outdir``, and the
+    path of every ``solver.evolve`` call they make to ``PATHS``."""
     outdir = Path(outdir)
-    for preset in PRESETS:
-        for initial in model.LOGICAL_STATES:
-            cli.run_scenario(preset, outdir, initial=initial)
-    for doc in _sweep_docs():
-        cfg_path = outdir / f"sweep_{doc['sweep']['axis']}.yaml"
-        cfg_path.write_text(yaml.safe_dump(doc, sort_keys=False))
-        cli.run_sweep(str(cfg_path), outdir, workers=1)
+    paths, evolve = [], solver.evolve
+
+    def recording(*args, **kwargs):
+        traj = evolve(*args, **kwargs)
+        paths.append({key: traj.meta[key] for key in PATH_KEYS if key in traj.meta})
+        return traj
+
+    solver.evolve = recording
+    try:
+        for preset in PRESETS:
+            for initial in model.LOGICAL_STATES:
+                cli.run_scenario(preset, outdir, initial=initial)
+        for doc in _sweep_docs():
+            cfg_path = outdir / f"sweep_{doc['sweep']['axis']}.yaml"
+            cfg_path.write_text(yaml.safe_dump(doc, sort_keys=False))
+            cli.run_sweep(str(cfg_path), outdir, workers=1)
+    finally:
+        solver.evolve = evolve
+    (outdir / PATHS).write_text(json.dumps(paths, indent=1) + "\n")
 
 
 def _git(*args):

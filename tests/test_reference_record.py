@@ -1,9 +1,9 @@
 """The program's outputs against the committed reference record.
 
 ``reference_record.py`` (beside this file) documents the record and
-rewrites it.  Summaries and configs must match byte for byte; series, maps
-and fringe tables must keep their header and shape and match to 1e-7
-absolute, entry by entry.
+rewrites it.  Summaries, configs and the path record ``paths.json`` must
+match byte for byte; series, maps and fringe tables must keep their header
+and shape and match to 1e-7 absolute, entry by entry.
 """
 
 import numpy as np
@@ -36,7 +36,8 @@ def _table_deviation(got, want, name):
 
 def test_outputs_match_reference_record(tmp_path):
     """The nine preset runs and two chevron sweeps rewrite every file of the
-    record: summaries and configs byte for byte, tables to 1e-7."""
+    record: summaries, configs and the path of every ``solver.evolve`` call
+    byte for byte, tables to 1e-7."""
     reference_record.write_outputs(tmp_path)
     recorded = {p.name for p in reference_record.RECORD.iterdir()} - {
         reference_record.PROVENANCE}

@@ -75,10 +75,18 @@ def test_evolve_input_validation(device):
         solver.evolve(h, bad_collapse, rho0, np.linspace(0.0, 1.0, 3))
 
 
-def test_evolve_rejects_non_finite_input(device):
-    """A NaN or infinite time, a NaN entry of H or of rho0 and a NaN tone
-    frequency are ValueErrors naming finiteness, raised before anything is
-    propagated."""
+def _forbid(monkeypatch, *names):
+    """Make each named ``solver`` function fail the test when it is called."""
+    for name in names:
+        monkeypatch.setattr(solver, name, lambda *args, name=name: pytest.fail(f"{name} ran"))
+
+
+def test_evolve_rejects_non_finite_input(monkeypatch, device):
+    """A NaN or infinite time, a NaN entry of H (its constant part or a
+    driven operator), of a collapse operator or of rho0 and a NaN tone
+    frequency are ValueErrors naming finiteness, raised before the generator
+    or any commutator superoperator is assembled."""
+    _forbid(monkeypatch, "_lindblad_generator", "_commutator")
     h = _free_hamiltonian(device)
     rho0 = model.logical_state("L0").to_density()
     for times in ([math.nan], [0.0, math.nan], [0.0, math.inf]):
@@ -86,12 +94,16 @@ def test_evolve_rejects_non_finite_input(device):
             solver.evolve(h, [], rho0, np.array(times))
     data = h.constant.data.copy()
     data[0, 0] = math.nan
-    bad_h = model.HamiltonianSpec(LabeledOperator(h.dims, data))
+    nan_op = LabeledOperator(h.dims, data)
+    bad_h = model.HamiltonianSpec(nan_op)
+    bad_drive = model.HamiltonianSpec(h.constant, ((model.Tone(0.5), nan_op),
+                                                   (model.Tone(-0.5), nan_op)))
     bad_tone = model.HamiltonianSpec(h.constant, ((model.Tone(math.nan), h.constant),))
     bad_rho0 = DensityMatrix(rho0.dims, np.where(rho0.data != 0, math.nan, 0.0))
-    for spec, state in ((bad_h, rho0), (bad_tone, rho0), (h, bad_rho0)):
+    for spec, ops, state in ((bad_h, [], rho0), (bad_drive, [], rho0), (h, [nan_op], rho0),
+                             (bad_tone, [], rho0), (h, [], bad_rho0)):
         with pytest.raises(ValueError, match="finite"):
-            solver.evolve(spec, [], state, np.linspace(0.0, 1.0, 3))
+            solver.evolve(spec, ops, state, np.linspace(0.0, 1.0, 3))
 
 
 def test_single_time_returns_initial_state(device, full_drive):
@@ -124,24 +136,6 @@ def _preset(arm):
     return cfg, h, model.collapse_operators(cfg.noise)
 
 
-def _reduced(h, collapse, v0):
-    """The block of vec(rho) that v0 touches, reduced as ``evolve`` reduces
-    it: its indices, H's tones, and the generator and the driven terms'
-    commutator superoperators restricted to it."""
-    gen = solver._lindblad_generator(h.constant.data, collapse)
-    sups = [solver._commutator(op.data) for _, op in h.driven]
-    keep = solver._touched_block(sum((abs(s) for s in sups), abs(gen)), v0)
-    return (keep, [tone for tone, _ in h.driven], gen[keep][:, keep],
-            [s[keep][:, keep] for s in sups])
-
-
-def _partner(keep, d=36):
-    """Position in ``keep`` of the conjugate of each entry of vec(rho): (i, j)
-    pairs with (j, i)."""
-    row, col = np.divmod(keep, d)
-    return solver._positions(keep, col * d + row)
-
-
 def _scatter(keep, vecs, size):
     """Block snapshots written back into zero vectors of length ``size``."""
     out = np.zeros((len(vecs), size), dtype=complex)
@@ -168,13 +162,11 @@ def test_exact_propagation_matches_rk45(arm, tmax, snapshots):
         # 1.5 us of the aqec block costs expm_multiply less than one dense expm
         assert traj.meta["method"] == ("expm_multiply" if arm == "aqec" else "expm")
         assert traj.meta["nfev"] == 0
-        v0 = rho0.data.astype(complex).ravel()
-        keep, tones, gen, sups = _reduced(h, collapse, v0)
-        vecs, meta = solver._integrate_rk45(tones, gen, sups, v0[keep], times, _partner(keep))
+        vecs, meta = solver._integrate_rk45(solver._block(h, collapse, rho0), times)
         assert meta["method"] == "rk45" and meta["nfev"] > 0
         assert meta["block_dim"] == block
         states = traj.full_states()
-        ref = _scatter(keep, vecs, len(v0)).reshape(states.shape)
+        ref = _scatter(traj.keep, vecs, 36 * 36).reshape(states.shape)
         assert np.max(np.abs(states - ref)) <= 1e-6
 
 
@@ -253,9 +245,7 @@ def test_uniform_grid_takes_one_propagator(monkeypatch):
 def _dense_cheaper_on(h, collapse, psi, steps, times):
     """The cost rule's choice, over the distinct ``steps`` of ``times``, for
     the block of vec(rho) that psi touches."""
-    v0 = psi.to_density().data.astype(complex).ravel()
-    _, _, gen, _ = _reduced(h, collapse, v0)
-    return solver._dense_cheaper(gen, steps, times)
+    return solver._dense_cheaper(solver._block(h, collapse, psi.to_density()).gen, steps, times)
 
 
 def test_exact_method_by_cost(monkeypatch):
@@ -451,10 +441,9 @@ def test_floquet_base_block_matches_full_stack():
                                      ("red_pair_center", 0.5, 6, 215)):
         h, collapse, psi0, times = _benchmark_sweep_case(axis, freq)
         v0 = psi0.to_density().data.ravel()
-        keep, tones, gen, sups = _reduced(h, collapse, v0)
-        vecs, meta = solver._propagate_floquet(tones, gen, sups, v0[keep], times,
-                                               _partner(keep))
-        states = _scatter(keep, vecs, len(v0))
+        base = solver._block(h, collapse, psi0.to_density())
+        vecs, meta = solver._propagate_floquet(base, times)
+        states = _scatter(base.keep, vecs, len(v0))
         ref_block, ref_states, ref_tail = _full_stack_floquet(h, collapse, v0, times,
                                                               meta["floquet_order"])
         assert meta["floquet_order"] == order
@@ -679,13 +668,12 @@ def test_floquet_order_is_smallest_that_passes(axis, freq, order):
     even order, where one is tried, the full-stack reference fails it."""
     h, collapse, psi0, times = _benchmark_sweep_case(axis, freq)
     assert solver.FLOQUET_ORDERS == (4, 6, 8)
-    v0 = psi0.to_density().data.ravel()
-    keep, tones, gen, sups = _reduced(h, collapse, v0)
-    _, meta = solver._propagate_floquet(tones, gen, sups, v0[keep], times, _partner(keep))
+    _, meta = solver._propagate_floquet(solver._block(h, collapse, psi0.to_density()), times)
     assert meta["method"] == "floquet" and meta["floquet_order"] == order
     assert meta["floquet_tail"] <= solver.FLOQUET_TAIL
     if order > solver.FLOQUET_ORDERS[0]:
-        *_, smaller_tail = _full_stack_floquet(h, collapse, v0, times, order - 2)
+        *_, smaller_tail = _full_stack_floquet(h, collapse, psi0.to_density().data.ravel(),
+                                               times, order - 2)
         assert smaller_tail > solver.FLOQUET_TAIL
 
 
@@ -727,9 +715,9 @@ def test_conjugation_map_is_unitary_and_real_on_hermitian_blocks():
     block), and T and the gathered map back both return v from those real
     coordinates."""
     _, h, collapse = _preset("aqec")
-    v0 = model.logical_state("L0").to_density().data.astype(complex).ravel()
-    keep, *_ = _reduced(h, collapse, v0)
-    real = solver._conjugation_map(_partner(keep))
+    block = solver._block(h, collapse, model.logical_state("L0").to_density())
+    keep = block.keep
+    real = solver._conjugation_map(block.partner)
     t = real.t.toarray()
     assert np.array_equal(real.t_h.toarray(), t.conj().T)
     eye = np.eye(len(keep))
@@ -747,25 +735,24 @@ def test_real_form_rejects_unclosed_blocks_and_non_hermitian_maps(monkeypatch):
     """Partners that are not an involution of the block, a Floquet stack
     with one partner index removed, a generator without a real form and a
     non-Hermitian rho0 are ValueErrors, raised before anything is
-    propagated."""
+    propagated; rho0's is raised before the generator is assembled."""
     for partner in ([1, 2, 0], [0, 2], [1, 1]):
         with pytest.raises(ValueError, match="involution"):
             solver._conjugation_map(np.array(partner))
     _, h_free, collapse_free = _preset("free_decay")
-    v0 = model.logical_state("L0").to_density().data.astype(complex).ravel()
-    keep, _, gen, _ = _reduced(h_free, collapse_free, v0)
+    block = solver._block(h_free, collapse_free, model.logical_state("L0").to_density())
     with pytest.raises(ValueError, match="Hermiticity"):
-        solver._conjugation_map(_partner(keep)).form(1j * gen)
+        solver._conjugation_map(block.partner).form(1j * block.gen)
     h, collapse, psi0, times = _benchmark_sweep_case("qr_frequency", 0.5)
-    v0 = psi0.to_density().data.ravel()
-    keep, tones, gen, sups = _reduced(h, collapse, v0)
+    block = solver._block(h, collapse, psi0.to_density())
     touched = solver._touched_block
     # the 4-state stack's last index is sigma_+1's |yx>, partner of sigma_-1's |xy>
     monkeypatch.setattr(solver, "_touched_block", lambda g, v: touched(g, v)[:-1])
-    monkeypatch.setattr(solver, "_propagate_exact", lambda *args: pytest.fail("propagated"))
+    _forbid(monkeypatch, "_propagate_exact")
     with pytest.raises(ValueError, match="closed under conjugation"):
-        solver._propagate_floquet(tones, gen, sups, v0[keep], times, _partner(keep))
+        solver._propagate_floquet(block, times)
     monkeypatch.undo()
+    _forbid(monkeypatch, "_lindblad_generator", "_commutator")
     rho = psi0.to_density().data.copy()
     rho[0, 1] = 0.1
     with pytest.raises(ValueError, match="Hermitian"):
@@ -846,19 +833,60 @@ def test_tone_is_a_complex_exponential():
 
 def test_evolve_rejects_unpaired_driven_terms(monkeypatch):
     """A driven term without its -f partner, or with a partner that is not
-    its adjoint, is a ValueError raised before anything is propagated."""
+    its adjoint, is a ValueError raised before anything is assembled."""
     h, collapse = _red_sweep_hamiltonian(0.5)
     (plus, op), (minus, op_dag) = h.driven
     assert minus.freq == -plus.freq and np.array_equal(op_dag.data, op.data.conj().T)
     assert not np.array_equal(op.data, op_dag.data)
-    for name in ("_touched_block", "_propagate_exact", "_propagate_floquet",
-                 "_integrate_rk45"):
-        monkeypatch.setattr(solver, name, lambda *args: pytest.fail("propagated"))
+    _forbid(monkeypatch, "_lindblad_generator", "_commutator", "_touched_block",
+            "_propagate_exact", "_propagate_floquet", "_integrate_rk45")
     rho0 = basis_state(FULL_DIMS, "gf00").to_density()
     for driven in (((plus, op),), ((plus, op), (minus, op))):
         spec = model.HamiltonianSpec(h.constant, driven)
         with pytest.raises(ValueError, match="adjoint"):
             solver.evolve(spec, collapse, rho0, np.linspace(0.0, 1.0, 3))
+
+
+def test_zero_frequency_terms_take_the_exact_path():
+    """A Hermitian O at Tone(0.0), here a 0.2 MHz shift of transmon 1, is
+    constant: alone it takes the exact path, with one more +-f pair the
+    Floquet path, and each run equals, bit for bit, the run with O folded
+    into H's constant part."""
+    h, collapse = _red_sweep_hamiltonian(0.5)
+    static = TWOPI * 0.2 * model.transmon_number(1)
+    folded = LabeledOperator(h.dims, h.constant.data + static.data)
+    rho0 = basis_state(FULL_DIMS, "gf00").to_density()
+    times = np.linspace(0.0, 1.0, 11)
+    for driven, methods in (((), ("expm", "expm_multiply")), (h.driven, ("floquet",))):
+        got = solver.evolve(model.HamiltonianSpec(h.constant, ((model.Tone(0.0), static),
+                                                               *driven)),
+                            collapse, rho0, times)
+        ref = solver.evolve(model.HamiltonianSpec(folded, driven), collapse, rho0, times)
+        assert got.meta["method"] in methods
+        assert got.meta == ref.meta
+        assert np.array_equal(got.keep, ref.keep) and np.array_equal(got.states, ref.states)
+
+
+def test_terms_sharing_a_frequency_are_grouped(monkeypatch):
+    """The red-sweep drive split into two halves at +f and two at -f takes one
+    commutator superoperator per frequency and gives the states and meta of
+    the unsplit drive bit for bit (O/2 + O/2 = O exactly)."""
+    h, collapse = _red_sweep_hamiltonian(0.5)
+    halves = []
+    for tone, o in h.driven:
+        half = (tone, LabeledOperator(h.dims, o.data / 2))
+        halves += [half, half]
+    rho0 = basis_state(FULL_DIMS, "gf00").to_density()
+    times = np.linspace(0.0, 1.0, 11)
+    ref = solver.evolve(h, collapse, rho0, times)
+    commutators = []
+    commutator = solver._commutator
+    monkeypatch.setattr(solver, "_commutator",
+                        lambda hmat: commutators.append(hmat) or commutator(hmat))
+    got = solver.evolve(model.HamiltonianSpec(h.constant, tuple(halves)), collapse, rho0, times)
+    assert len(commutators) == 2
+    assert got.meta == ref.meta and got.meta["method"] == "floquet"
+    assert np.array_equal(got.keep, ref.keep) and np.array_equal(got.states, ref.states)
 
 
 def test_refill_rate_values_and_limits():
